@@ -68,7 +68,7 @@ from .monomial import (
     principal_rees,
     rees_valuations,
 )
-from .numcore import QSubgroup, gcd, lcm_list, subgroup_generated
+from .numcore import QSubgroup, lcm_list, subgroup_generated
 from .puiseux import (
     NewtonPolygonInput,
     PuiseuxModel,

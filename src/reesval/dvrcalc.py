@@ -13,6 +13,7 @@ root of the uniformizer (degree f, ramification f).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Iterable
@@ -34,19 +35,14 @@ class ResidueDescriptor:
     """How a residue field was built from a base field.
 
     ``transcendentals`` counts adjoined transcendental generators (such
-    as the residue of t*b), ``kummer_degrees`` the degrees of
-    successively adjoined Kummer roots.
+    as the residue of t*b).
     """
 
-    base_label: str = "k"
     transcendentals: int = 0
-    kummer_degrees: tuple[int, ...] = ()
 
     def __post_init__(self):
         if self.transcendentals < 0:
             raise NonPositiveError("transcendental count must be >= 0")
-        if any(d < 1 for d in self.kummer_degrees):
-            raise NonPositiveError("Kummer degrees must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -109,22 +105,8 @@ class Tower:
 
     def composite(self) -> ExtensionStep:
         """Componentwise product of all steps."""
-        degree = ramification = residue_degree = 1
-        no_splitting = True
-        for step in self.steps:
-            degree *= step.degree
-            ramification *= step.ramification
-            residue_degree *= step.residue_degree
-            no_splitting = no_splitting and step.no_splitting
-        return ExtensionStep(
-            from_label=self.base.label,
-            to_label=self.steps[-1].to_label if self.steps else self.base.label,
-            degree=degree,
-            ramification=ramification,
-            residue_degree=residue_degree,
-            kind=COMPOSITE,
-            no_splitting=no_splitting,
-        )
+        base = self.base.label
+        return functools.reduce(compose, self.steps, ExtensionStep(base, base, 1, 1, 1))
 
 
 def lift_to_rees_w(v: DVRSpec, label: str = "W") -> DVRSpec:

@@ -22,6 +22,7 @@ from .errors import (
     NonPositiveError,
     UnitIdealError,
 )
+from .dvrcalc import general_k_extension
 from .numcore import lcm_list
 from .puiseux import PuiseuxModel, oracle_ramification
 
@@ -121,13 +122,13 @@ def itoh_structure(rees: ReesData | Sequence[int], k: int) -> ItohReport:
         raise BadKError(f"root order must be >= 2, got {k}")
     records = []
     for e in rd.entries:
-        d = math.gcd(e, k)
+        step = general_k_extension(e, k)
         records.append(
             ItohValuationRecord(
                 rees_integer=e,
-                residue_degree=d,
-                ramification=k // d,
-                u_exponent=e // d,
+                residue_degree=step.residue_degree,
+                ramification=step.ramification,
+                u_exponent=e // step.residue_degree,
             )
         )
     return ItohReport(

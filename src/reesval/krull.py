@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Sequence
 
 from .errors import (
     BadKError,
@@ -31,6 +31,7 @@ from .errors import (
     NotCommonMultipleError,
     NotMultipleError,
 )
+from .dvrcalc import general_k_extension
 from .itoh import (
     ReesData,
     SemilocalIdeal,
@@ -94,43 +95,38 @@ def is_consistent(system: ConsistentSystem) -> bool:
     )
 
 
-def build_split_system(rees: ReesData | Sequence[int], k: int) -> ConsistentSystem:
-    """Family S: k*e_j ideals per valuation, residue degree one."""
+def _lcm_family(
+    family: str,
+    rees: ReesData | Sequence[int],
+    k: int,
+    entry: Callable[[int, int], SystemEntry],
+) -> ConsistentSystem:
+    """A degree k*lcm system with entry(e_j, lcm/e_j) at each valuation."""
     rd = rees_data(rees)
     if k < 1:
         raise NonPositiveError(f"parameter k must be >= 1, got {k}")
     m0 = rd.lcm
-    per = tuple(
-        (SystemEntry(residue_degree=1, ramification=m0 // e, multiplicity=k * e),)
-        for e in rd.entries
+    per = tuple((entry(e, m0 // e),) for e in rd.entries)
+    return ConsistentSystem(m=k * m0, per_valuation=per, family=family)
+
+
+def build_split_system(rees: ReesData | Sequence[int], k: int) -> ConsistentSystem:
+    """Family S: k*e_j ideals per valuation, residue degree one."""
+    return _lcm_family(
+        FAMILY_SPLIT, rees, k, lambda e, c: SystemEntry(1, c, multiplicity=k * e)
     )
-    return ConsistentSystem(m=k * m0, per_valuation=per, family=FAMILY_SPLIT)
 
 
 def build_inert_system(rees: ReesData | Sequence[int], k: int) -> ConsistentSystem:
     """Family T: a single residue-degree-k*e_j extension per valuation."""
-    rd = rees_data(rees)
-    if k < 1:
-        raise NonPositiveError(f"parameter k must be >= 1, got {k}")
-    m0 = rd.lcm
-    per = tuple(
-        (SystemEntry(residue_degree=k * e, ramification=m0 // e, multiplicity=1),)
-        for e in rd.entries
-    )
-    return ConsistentSystem(m=k * m0, per_valuation=per, family=FAMILY_INERT)
+    return _lcm_family(FAMILY_INERT, rees, k, lambda e, c: SystemEntry(k * e, c))
 
 
 def build_ramified_system(rees: ReesData | Sequence[int], k: int) -> ConsistentSystem:
     """Family U: e_j ideals per valuation with ramification k*(lcm/e_j)."""
-    rd = rees_data(rees)
-    if k < 1:
-        raise NonPositiveError(f"parameter k must be >= 1, got {k}")
-    m0 = rd.lcm
-    per = tuple(
-        (SystemEntry(residue_degree=1, ramification=k * (m0 // e), multiplicity=e),)
-        for e in rd.entries
+    return _lcm_family(
+        FAMILY_RAMIFIED, rees, k, lambda e, c: SystemEntry(1, k * c, multiplicity=e)
     )
-    return ConsistentSystem(m=k * m0, per_valuation=per, family=FAMILY_RAMIFIED)
 
 
 def build_root_adjunction_system(
@@ -142,8 +138,8 @@ def build_root_adjunction_system(
         raise BadKError(f"root order must be >= 2, got {k}")
     per = []
     for e in rd.entries:
-        d = math.gcd(k, e)
-        per.append((SystemEntry(residue_degree=d, ramification=k // d, multiplicity=1),))
+        step = general_k_extension(e, k)
+        per.append((SystemEntry(step.residue_degree, step.ramification),))
     return ConsistentSystem(m=k, per_valuation=tuple(per), family=FAMILY_ROOT)
 
 
@@ -164,13 +160,6 @@ def build_system(family: str, rees: ReesData | Sequence[int], k: int) -> Consist
     except KeyError:
         raise BadKError(f"unknown system family {family!r}") from None
     return builder(rees, k)
-
-
-CONDITION_DESCRIPTIONS = {
-    1: "some valuation has a single prescribed extension",
-    2: "an extra DVR of the base field exists",
-    3: "separable approximation of monic polynomials holds",
-}
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ independent membership oracle decides the same question as rational
 cone membership via exact Fourier-Motzkin elimination, touching no
 facet data at all.
 
-All geometry is exact: integers and Fractions only.
+All geometry is exact: integers only.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -93,10 +92,11 @@ class MonomialIdeal:
                 raise ImproperIdealError(f"negative exponent in generator {g}")
             if all(e == 0 for e in g):
                 raise ImproperIdealError("the unit monomial cannot generate a proper ideal")
-        for a, b in itertools.permutations(gens, 2):
-            if _dominates(a, b):
+        # A multiple never sorts before its divisor, so later-vs-earlier suffices.
+        for a, b in itertools.combinations(gens, 2):
+            if _dominates(b, a):
                 raise ImproperIdealError(
-                    f"generators are not an antichain: {a} is a multiple of {b}"
+                    f"generators are not an antichain: {b} is a multiple of {a}"
                 )
         object.__setattr__(self, "generators", gens)
 
@@ -117,11 +117,10 @@ def minimalize(gens: Iterable[Sequence[int]], dim: int | None = None) -> Monomia
     for v in vecs:
         if len(v) != d:
             raise InconsistentDimensionError(f"generator {v} has length {len(v)}, expected {d}")
-    kept = [
-        v
-        for v in vecs
-        if not any(w != v and _dominates(v, w) for w in vecs)
-    ]
+    kept: list[Vec] = []
+    for v in vecs:  # sorted, so every divisor of v comes before it
+        if not any(_dominates(v, w) for w in kept):
+            kept.append(v)
     return MonomialIdeal(d, tuple(kept))
 
 
@@ -197,24 +196,6 @@ def _facets_2d(gens: Sequence[Vec]) -> list[tuple[Vec, int]]:
     return facets
 
 
-def _rank(vectors: Sequence[Vec]) -> int:
-    rows = [[Fraction(x) for x in v] for v in vectors if any(v)]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        prow = rows[rank]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                factor = rows[r][col] / prow[col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], prow)]
-        rank += 1
-    return rank
-
-
 def _sign_normalize(v: Vec) -> Vec | None:
     """Scale a candidate normal to be nonnegative, or reject it."""
     if all(e == 0 for e in v):
@@ -259,7 +240,9 @@ def _facets_3d(gens: Sequence[Vec]) -> list[tuple[Vec, int]]:
         touching = [g for g in gens if _dot(a, g) == offset]
         spans = [_sub(g, touching[0]) for g in touching[1:]]
         spans.extend(units[i] for i in range(3) if a[i] == 0)
-        if spans and _rank(spans) == 2:
+        # All spans are nonzero and lie in the plane a.x = 0, so the face is
+        # 2-dimensional exactly when two of them are independent.
+        if any(any(_cross3(spans[0], s)) for s in spans[1:]):
             facets.append((a, offset))
     return facets
 

@@ -1,8 +1,8 @@
 """Exact integer and rational arithmetic helpers.
 
-Everything downstream reduces to gcd/lcm towers and to finitely
-generated subgroups of (Q, +), which are cyclic.  All values are exact
-Python ints and ``fractions.Fraction``; floating point never appears.
+The lcm of a list of positive integers, and finitely generated
+subgroups of (Q, +), which are cyclic.  All values are exact Python
+ints and ``fractions.Fraction``; floating point never appears.
 """
 
 from __future__ import annotations
@@ -13,13 +13,6 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import EmptyListError, NonPositiveError
-
-Rat = Fraction
-
-
-def gcd(a: int, b: int) -> int:
-    """Nonnegative greatest common divisor, with gcd(0, 0) = 0."""
-    return math.gcd(a, b)
 
 
 def lcm_list(xs: Iterable[int]) -> int:

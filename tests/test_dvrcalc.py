@@ -11,6 +11,7 @@ from reesval.dvrcalc import (
     DVRSpec,
     ExtensionStep,
     ResidueDescriptor,
+    Tower,
     check_fundamental,
     compose,
     general_k_extension,
@@ -178,6 +179,25 @@ class TestCompose:
                 total = compose(u_step, d_step)
                 assert total.invariants == (h * k, h, k)
                 assert check_fundamental([u_step, d_step, total]).ok
+
+
+class TestTowerComposite:
+    def test_empty_tower_is_identity(self):
+        total = Tower(DVRSpec("W", 3), ()).composite()
+        assert (total.from_label, total.to_label) == ("W", "W")
+        assert total.invariants == (1, 1, 1)
+        assert total.no_splitting
+
+    def test_three_steps_multiply_and_and_flags(self):
+        steps = (
+            step(2, 1, 2, "W", "U"),
+            step(4, 1, 2, "U", "D", no_splitting=False),
+            step(3, 3, 1, "D", "E"),
+        )
+        total = Tower(DVRSpec("W", 2), steps).composite()
+        assert (total.from_label, total.to_label) == ("W", "E")
+        assert total.invariants == (24, 3, 4)
+        assert not total.no_splitting
 
 
 class TestCheckFundamental:

@@ -90,6 +90,7 @@ class TestMinimalize:
     def test_drops_dominated(self):
         ideal = minimalize({(2, 0), (3, 1), (0, 3)})
         assert ideal.generators == ((0, 3), (2, 0))
+        assert minimalize({(1, 1), (2, 2), (3, 3)}).generators == ((1, 1),)
 
     def test_identity(self):
         assert minimalize({(1, 1)}).generators == ((1, 1),)
@@ -105,10 +106,15 @@ class TestMinimalize:
             minimalize({(1, 0), (1, 0, 0)})
 
     def test_improper_ideal_rejected(self):
-        with pytest.raises(ImproperIdealError):
-            MonomialIdeal(2, ((0, 0),))
-        with pytest.raises(ImproperIdealError):
-            MonomialIdeal(2, ((1, 0), (2, 0)))
+        for gens in [
+            ((0, 0),),
+            ((1, 0), (2, 0)),
+            ((1, 2), (0, 3), (1, 2)),  # duplicate
+            ((0, 1, 5), (1, 0, 0), (1, 0, 3)),
+            ((1, 0, 1), (0, 1, 0), (0, 0, 1)),  # multiple two places after its divisor
+        ]:
+            with pytest.raises(ImproperIdealError):
+                MonomialIdeal(len(gens[0]), gens)
 
     @given(
         st.sets(

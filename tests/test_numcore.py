@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from reesval.errors import EmptyListError, NonPositiveError
-from reesval.numcore import QSubgroup, gcd, lcm_list, subgroup_generated
+from reesval.numcore import QSubgroup, lcm_list, subgroup_generated
 
 
 def brute_lcm(xs):
@@ -27,30 +27,6 @@ def brute_subgroup_generator(xs, bound=6):
                     if value > 0 and (best is None or value < best):
                         best = value
     return best
-
-
-def test_gcd_examples():
-    assert gcd(4, 6) == 2
-    assert gcd(0, 5) == 5
-    assert gcd(2, 3) == 1
-    assert gcd(0, 0) == 0
-
-
-def test_gcd_divides_exhaustive():
-    for a in range(-50, 51):
-        for b in range(-50, 51):
-            g = gcd(a, b)
-            if g == 0:
-                assert a == 0 and b == 0
-                continue
-            assert a % g == 0 and b % g == 0
-
-
-@given(st.integers(-50, 51), st.integers(-50, 51), st.integers(-200, 200))
-def test_common_divisors_divide_gcd(a, b, c):
-    g = gcd(a, b)
-    if c != 0 and a % c == 0 and b % c == 0:
-        assert g % c == 0
 
 
 def test_lcm_examples():
