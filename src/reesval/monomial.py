@@ -15,10 +15,11 @@ All geometry is exact: integers only.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     DimensionMismatchError,
@@ -47,6 +48,35 @@ def _sub(a: Vec, b: Vec) -> Vec:
 def _dominates(a: Vec, b: Vec) -> bool:
     """a >= b componentwise."""
     return all(x >= y for x, y in zip(a, b))
+
+
+def _earlier_divisors(vecs: Sequence[Vec]) -> Iterator[tuple[Vec, Vec | None]]:
+    """Pair each vector of a lexicographically sorted list with an earlier divisor.
+
+    The divisor is None when no earlier vector divides.  Vectors have at
+    most three coordinates, padded with zeros to three.  An earlier
+    vector is never larger in the first coordinate, so it divides exactly
+    when its tail (last two coordinates) is componentwise <= the current
+    tail.  The minimal tails seen so far form a staircase: heads strictly
+    increase and ends strictly decrease, so the one candidate divisor is
+    the last step whose head is <= the current head, found by bisection.
+    """
+    heads: list[int] = []
+    ends: list[int] = []
+    owners: list[Vec] = []
+    for v in vecs:
+        head, end = (*v, 0, 0)[1:3]
+        i = bisect.bisect_right(heads, head)
+        if i and ends[i - 1] <= end:
+            yield v, owners[i - 1]
+            continue
+        # Steps at or right of the new head with ends >= end are no longer minimal.
+        lo = i - 1 if i and heads[i - 1] == head else i
+        hi = lo
+        while hi < len(ends) and ends[hi] >= end:
+            hi += 1
+        heads[lo:hi], ends[lo:hi], owners[lo:hi] = [head], [end], [v]
+        yield v, None
 
 
 def _primitive(v: Vec) -> Vec:
@@ -92,11 +122,10 @@ class MonomialIdeal:
                 raise ImproperIdealError(f"negative exponent in generator {g}")
             if all(e == 0 for e in g):
                 raise ImproperIdealError("the unit monomial cannot generate a proper ideal")
-        # A multiple never sorts before its divisor, so later-vs-earlier suffices.
-        for a, b in itertools.combinations(gens, 2):
-            if _dominates(b, a):
+        for g, divisor in _earlier_divisors(gens):
+            if divisor is not None:
                 raise ImproperIdealError(
-                    f"generators are not an antichain: {b} is a multiple of {a}"
+                    f"generators are not an antichain: {g} is a multiple of {divisor}"
                 )
         object.__setattr__(self, "generators", gens)
 
@@ -117,11 +146,8 @@ def minimalize(gens: Iterable[Sequence[int]], dim: int | None = None) -> Monomia
     for v in vecs:
         if len(v) != d:
             raise InconsistentDimensionError(f"generator {v} has length {len(v)}, expected {d}")
-    kept: list[Vec] = []
-    for v in vecs:  # sorted, so every divisor of v comes before it
-        if not any(_dominates(v, w) for w in kept):
-            kept.append(v)
-    return MonomialIdeal(d, tuple(kept))
+    kept = tuple(v for v, divisor in _earlier_divisors(vecs) if divisor is None)
+    return MonomialIdeal(d, kept)
 
 
 @dataclass(frozen=True)
@@ -271,29 +297,49 @@ def integral_closure_power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
     """Minimal generators of the integral closure of the k-th power.
 
     A monomial lies in the closure exactly when every Rees valuation
-    gives it value at least k times its Rees integer.  Minimal
-    generators live in the box [0, k*maxcoord]^d.
+    (a, r) gives it value a.m >= k*r.  The closure is walked column by
+    column: for each prefix p in [0, k*M]^(d-1), with M the largest
+    generator coordinate, z(p) is the least last exponent that makes
+    (p, z) a member.  Each valuation with a_d > 0 forces
+    z >= ceil((k*r - a'.p) / a_d), where a' is a without its last
+    entry; a valuation with a_d = 0 and a'.p < k*r rules the whole
+    column out (z(p) is None).  (p, z(p)) is a minimal generator
+    exactly when no lower neighbour is a member: z(p - e_i) is None or
+    greater than z(p) for every i with p_i > 0.
+
+    Every minimal generator lies in the box [0, k*M]^d: a member m lies
+    in c + orthant for some c in k*conv(generators), whose coordinates
+    are at most k*M, so m_i > k*M leaves m - e_i a member too.  Hence
+    prefixes outside the box are never needed, and a column with
+    z(p) > k*M never passes the lower-neighbour rule, so z needs no
+    bound check.  The cost is (k*M + 1)^(d-1) columns times the number
+    of valuations, in integer steps.
     """
     if k < 1:
         raise NonPositivePowerError(f"power must be >= 1, got {k}")
-    facets = rees_valuations(ideal).valuations
     bound = k * ideal.max_coordinate
-
-    def member(m: Vec) -> bool:
-        return all(v.value(m) >= k * v.rees_integer for v in facets)
-
+    rows = [
+        (v.normal[:-1], v.normal[-1], k * v.rees_integer)
+        for v in rees_valuations(ideal).valuations
+    ]
+    column: dict[Vec, int | None] = {}
     gens = []
-    for m in itertools.product(range(bound + 1), repeat=ideal.dim):
-        if not member(m):
+    for p in itertools.product(range(bound + 1), repeat=ideal.dim - 1):
+        z: int | None = 0
+        for head, last, target in rows:
+            short = target - _dot(head, p)
+            if last:
+                z = max(z, -(-short // last))
+            elif short > 0:
+                z = None
+                break
+        column[p] = z
+        if z is None:
             continue
-        lower = (
-            tuple(e - (1 if i == j else 0) for j, e in enumerate(m))
-            for i in range(ideal.dim)
-            if m[i] > 0
-        )
-        if not any(member(lo) for lo in lower):
-            gens.append(m)
-    return MonomialIdeal(ideal.dim, tuple(sorted(gens)))
+        lower = (column[p[:i] + (e - 1,) + p[i + 1:]] for i, e in enumerate(p) if e)
+        if all(lz is None or lz > z for lz in lower):
+            gens.append(p + (z,))
+    return MonomialIdeal(ideal.dim, tuple(gens))
 
 
 def _fm_feasible(constraints: list[tuple[list[int], int]], nvars: int) -> bool:

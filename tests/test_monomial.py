@@ -1,10 +1,13 @@
+import ast
 import itertools
 import math
 import random
+import re
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reesval.errors import (
@@ -75,6 +78,43 @@ def rank(vectors):
     return r
 
 
+def divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def box_scan_closure(ideal, k):
+    """Reference closure: test every cell of the box [0, k*M]^d."""
+    valuations = rees_valuations(ideal).valuations
+
+    def member(m):
+        return all(v.value(m) >= k * v.rees_integer for v in valuations)
+
+    def lower(m):
+        return (m[:i] + (e - 1,) + m[i + 1 :] for i, e in enumerate(m) if e)
+
+    cells = itertools.product(range(k * ideal.max_coordinate + 1), repeat=ideal.dim)
+    return tuple(m for m in cells if member(m) and not any(map(member, lower(m))))
+
+
+def ideals(dim, max_coord, max_gens):
+    vectors = st.tuples(*[st.integers(0, max_coord)] * dim).filter(any)
+    return st.sets(vectors, min_size=1, max_size=max_gens).map(
+        lambda gens: minimalize(gens, dim)
+    )
+
+
+# Sorted 1-3D lists of nonzero vectors; small coordinates make duplicates common.
+sorted_vectors = (
+    st.integers(1, 3)
+    .flatmap(
+        lambda d: st.lists(
+            st.tuples(*[st.integers(0, 3)] * d).filter(any), min_size=1, max_size=10
+        )
+    )
+    .map(sorted)
+)
+
+
 def random_ideal(rng, dim=2, max_coord=6, max_gens=5):
     while True:
         gens = set()
@@ -129,6 +169,23 @@ class TestMinimalize:
         assert set(ideal.generators) <= set(gens)
         for g in gens:
             assert any(all(x >= y for x, y in zip(g, kept)) for kept in ideal.generators)
+
+    @given(sorted_vectors)
+    def test_matches_pairwise_minimalization(self, vecs):
+        expected = {v for v in vecs if not any(w != v and divides(w, v) for w in vecs)}
+        assert minimalize(vecs).generators == tuple(sorted(expected))
+
+    @given(sorted_vectors)
+    def test_antichain_check_matches_pairwise(self, vecs):
+        if not any(divides(a, b) for a, b in itertools.combinations(vecs, 2)):
+            assert MonomialIdeal(len(vecs[0]), vecs).generators == tuple(vecs)
+            return
+        with pytest.raises(ImproperIdealError) as err:
+            MonomialIdeal(len(vecs[0]), vecs)
+        named = re.findall(r"\([\d, ]*\)", str(err.value))
+        multiple, divisor = map(ast.literal_eval, named)
+        assert multiple in vecs and divisor in vecs and divides(divisor, multiple)
+        assert multiple != divisor or vecs.count(divisor) > 1
 
 
 class TestReesValuations:
@@ -263,6 +320,43 @@ class TestIntegralClosure:
             ideal = random_ideal(rng)
             for g in ideal.generators:
                 assert oracle_is_integral(ideal, 1, g)
+
+    @settings(deadline=None)
+    @given(
+        st.one_of(
+            st.tuples(ideals(1, 8, 3), st.integers(1, 6)),
+            st.tuples(ideals(2, 8, 8), st.integers(1, 6)),
+            st.tuples(ideals(3, 4, 6), st.integers(1, 4)),
+        )
+    )
+    def test_matches_box_scan(self, case):
+        ideal, k = case
+        assert integral_closure_power(ideal, k).generators == box_scan_closure(ideal, k)
+
+    @pytest.mark.parametrize(
+        "gens, dim",
+        [
+            ({(1, 0)}, 2),
+            ({(2, 0), (1, 3)}, 2),
+            ({(1, 0, 0), (0, 1, 0)}, 3),
+            ({(1, 0, 1), (0, 2, 0)}, 3),
+            ({(3,)}, 1),
+        ],
+    )
+    def test_fixed_cases_match_box_scan(self, gens, dim):
+        ideal = minimalize(gens, dim)
+        if dim > 1:  # a zero last normal entry rules out whole columns
+            assert any(v.normal[-1] == 0 for v in rees_valuations(ideal).valuations)
+        for k in range(1, 5):
+            assert integral_closure_power(ideal, k).generators == box_scan_closure(ideal, k)
+
+    def test_work_scales_with_columns(self):
+        # d = 3, k*M = 120: the box has 121^3 cells, the walk 121^2 columns.
+        ideal = minimalize({(4, 0, 0), (0, 4, 0), (0, 0, 4), (1, 2, 1)})
+        start = time.perf_counter()
+        closure = integral_closure_power(ideal, 30)
+        assert time.perf_counter() - start < 3.0
+        assert len(closure.generators) == 7381
 
 
 class TestOracle:
