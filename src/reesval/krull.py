@@ -299,6 +299,8 @@ class Component:
             raise NonPositiveError("participating component needs Rees data")
         if not self.participates and self.rees_integers:
             raise NonPositiveError("non-participating component must carry no Rees data")
+        if any(e < 1 for e in self.rees_integers):
+            raise NonPositiveError("Rees integers must be >= 1")
 
 
 @dataclass(frozen=True)

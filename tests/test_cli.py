@@ -157,6 +157,13 @@ class TestCo2Command:
         assert code == 2
         assert "lcm 6" in err
 
+    @pytest.mark.parametrize("components", ["2,0", "0;"])
+    def test_zero_rees_integer_is_an_input_error(self, capsys, components):
+        code, out, err = run_cli(capsys, "co2", "--components", components, "--e", "6")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
 
 class TestClosureCommand:
     def test_two_squares(self, capsys, ideal_file):

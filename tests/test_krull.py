@@ -272,6 +272,11 @@ class TestDirectSumPlan:
         with pytest.raises(NonPositiveError):
             ComponentPlan((Component((), False),))
 
+    def test_rejects_nonpositive_rees_integers(self):
+        for entries in [(2, 0), (0,), (3, -1)]:
+            with pytest.raises(NonPositiveError):
+                Component(entries, True)
+
 
 class TestProjectiveFullnessCheck:
     def test_two_three(self):

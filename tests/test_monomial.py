@@ -7,7 +7,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reesval.errors import (
@@ -21,6 +21,8 @@ from reesval.errors import (
 )
 from reesval.monomial import (
     MonomialIdeal,
+    _facets_2d,
+    _facets_dd,
     ideal_power,
     integral_closure_power,
     minimalize,
@@ -94,6 +96,80 @@ def box_scan_closure(ideal, k):
 
     cells = itertools.product(range(k * ideal.max_coordinate + 1), repeat=ideal.dim)
     return tuple(m for m in cells if member(m) and not any(map(member, lower(m))))
+
+
+def det(rows):
+    """Integer determinant by expansion along the first row."""
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * x * det([r[:j] + r[j + 1 :] for r in rows[1:]])
+        for j, x in enumerate(rows[0])
+        if x
+    )
+
+
+def candidate_scan_facets(gens, d):
+    """Reference facets, as (normal, offset): scan candidate normals.
+
+    This is the candidate scan the library used in 3D, in any dimension.
+    Candidates are the normals of every hyperplane spanned by d - 1
+    vectors among the generator differences and the unit vectors (the
+    cross product of two of them in 3D); a candidate is a facet when
+    its supporting face spans d - 1 dimensions.
+    """
+    units = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    vectors = units + [
+        tuple(x - y for x, y in zip(q, p)) for p, q in itertools.combinations(gens, 2)
+    ]
+    candidates = set()
+    for rows in itertools.combinations(vectors, d - 1):
+        n = tuple((-1) ** i * det([r[:i] + r[i + 1 :] for r in rows]) for i in range(d))
+        if all(e <= 0 for e in n):
+            n = tuple(-e for e in n)
+        if any(n) and all(e >= 0 for e in n):
+            g = math.gcd(*n)
+            candidates.add(tuple(e // g for e in n))
+    facets = []
+    for a in sorted(candidates):
+        offset = min(sum(x * y for x, y in zip(a, g)) for g in gens)
+        touching = [g for g in gens if sum(x * y for x, y in zip(a, g)) == offset]
+        spans = [tuple(x - y for x, y in zip(g, touching[0])) for g in touching[1:]]
+        spans.extend(units[i] for i in range(d) if a[i] == 0)
+        if rank(spans) == d - 1:
+            facets.append((a, offset))
+    return facets
+
+
+def sphere_ideal(n, seed):
+    """n incomparable lattice points near the sphere of radius 4 + n // 3
+    centred at (r, r, r), on the side facing the origin: nearly all are
+    vertices of the Newton polyhedron, so the ideal has many facets."""
+    rng = random.Random(seed)
+    r = 4 + n // 3
+    pts = []
+    while len(pts) < n:
+        v = [abs(rng.gauss(0.0, 1.0)) + 1e-9 for _ in range(3)]
+        norm = math.sqrt(sum(x * x for x in v))
+        c = tuple(round(r - r * x / norm) for x in v)
+        if not any(divides(c, p) or divides(p, c) for p in pts):
+            pts.append(c)
+    return MonomialIdeal(3, tuple(pts))
+
+
+@st.composite
+def staircases(draw, max_gens):
+    """2D antichains of up to max_gens generators; small steps make
+    collinear runs of generators common."""
+    steps = st.tuples(st.integers(1, 3), st.integers(1, 3))
+    steps = draw(st.lists(steps, max_size=max_gens - 1))
+    x = draw(st.integers(0, 3))
+    y = draw(st.integers(0 if x else 1, 3)) + sum(dy for _, dy in steps)
+    gens = [(x, y)]
+    for dx, dy in steps:
+        x, y = x + dx, y - dy
+        gens.append((x, y))
+    return MonomialIdeal(2, tuple(gens))
 
 
 def ideals(dim, max_coord, max_gens):
@@ -254,6 +330,44 @@ class TestReesValuations:
         ideal = minimalize({(4,)}, 1)
         assert normals_and_integers(rees_valuations(ideal)) == [((1,), 4)]
 
+    @settings(deadline=None)
+    @given(staircases(40))
+    def test_double_description_matches_chain_2d(self, ideal):
+        gens = ideal.generators
+        assert sorted(_facets_dd(gens, 2)) == sorted(_facets_2d(gens))
+
+    @settings(deadline=None)
+    @given(ideals(3, 6, 12))
+    def test_double_description_matches_candidate_scan_3d(self, ideal):
+        gens = ideal.generators
+        assert sorted(_facets_dd(gens, 3)) == candidate_scan_facets(gens, 3)
+
+    def test_degenerate_3d(self):
+        # All 36 generators on the plane x + y + z = 7: one facet.
+        plane = minimalize({(a, b, 7 - a - b) for a in range(8) for b in range(8 - a)})
+        assert len(plane.generators) == 36
+        assert normals_and_integers(rees_valuations(plane)) == [((1, 1, 1), 7)]
+        pure = minimalize({(2, 0, 0), (0, 3, 0), (0, 0, 4)})
+        assert normals_and_integers(rees_valuations(pure)) == [((6, 4, 3), 12)]
+        axis = minimalize({(0, 0, 5)})
+        assert normals_and_integers(rees_valuations(axis)) == [((0, 0, 1), 5)]
+        walls = [((0, 0, 1), 0), ((0, 1, 0), 0), ((1, 0, 0), 0)]
+        assert sorted(_facets_dd(plane.generators, 3)) == walls + [((1, 1, 1), 7)]
+        for ideal in (pure, axis):
+            gens = ideal.generators
+            assert sorted(_facets_dd(gens, 3)) == candidate_scan_facets(gens, 3)
+
+    @settings(deadline=None)
+    @given(st.sets(st.tuples(*[st.integers(0, 2)] * 4).filter(any), min_size=1, max_size=7))
+    @example({(2, 0, 0, 0), (1, 1, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 1, 1), (0, 0, 0, 2)})
+    @example({(1, 2, 1, 2), (1, 2, 2, 1), (2, 0, 2, 2), (2, 1, 1, 1), (3, 0, 1, 0), (3, 2, 0, 0)})
+    def test_double_description_4d(self, vecs):
+        # From d = 4 on, d - 1 common tight constraints can be dependent
+        # (three collinear generators), so adjacency needs the third-ray
+        # check, which the examples exercise; MonomialIdeal stops at d = 3.
+        gens = tuple(v for v in sorted(vecs) if not any(w != v and divides(w, v) for w in vecs))
+        assert sorted(_facets_dd(gens, 4)) == candidate_scan_facets(gens, 4)
+
     def test_determinism(self):
         gens = [(4, 0), (2, 3), (0, 6), (1, 5)]
         first = rees_valuations(minimalize(gens))
@@ -357,6 +471,16 @@ class TestIntegralClosure:
         closure = integral_closure_power(ideal, 30)
         assert time.perf_counter() - start < 3.0
         assert len(closure.generators) == 7381
+
+
+def test_facets_scale_to_many_generators():
+    # n = 60 in 3D: the candidate scan tests O(n^3) normals and takes
+    # seconds; it finds the same 55 Rees valuations.
+    ideal = sphere_ideal(60, seed=5)
+    start = time.perf_counter()
+    package = rees_valuations(ideal)
+    assert time.perf_counter() - start < 1.0
+    assert len(package.valuations) == 55
 
 
 class TestOracle:
