@@ -142,8 +142,6 @@ def cmd_rees(args: argparse.Namespace) -> Report:
 
 
 def cmd_closure(args: argparse.Namespace) -> Report:
-    if args.k < 1:
-        raise BadKError(f"power must be >= 1, got {args.k}")
     ideal = _read_ideal(args.ideal_file)
     closure = monomial.integral_closure_power(ideal, args.k)
     echo = _ideal_echo(ideal)

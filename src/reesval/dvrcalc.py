@@ -1,14 +1,14 @@
 """Symbolic calculus of discrete valuation ring extensions.
 
 A DVR enters only through numeric invariants: the value of the
-distinguished element u (uniformizer exponent), and a descriptor of how
-its residue field was assembled (transcendental generators, Kummer
-generators).  An extension of DVRs is a record of (degree, ramification
-index, residue degree) with a no-splitting flag; towers multiply these
-componentwise.  The two building blocks are the unramified extension
-generated by a root of X^e - w for a residue-transcendental unit w
-(degree e, residue degree e) and the totally ramified extension by a
-root of the uniformizer (degree f, ramification f).
+distinguished element u (uniformizer exponent), and the number of
+transcendental generators adjoined to its residue field.  An extension
+of DVRs is a record of (degree, ramification index, residue degree)
+with a no-splitting flag; towers multiply these componentwise.  The
+two building blocks are the unramified extension generated by a root
+of X^e - w for a residue-transcendental unit w (degree e, residue
+degree e) and the totally ramified extension by a root of the
+uniformizer (degree f, ramification f).
 """
 
 from __future__ import annotations
@@ -31,31 +31,22 @@ COMPOSITE = "composite"
 
 
 @dataclass(frozen=True)
-class ResidueDescriptor:
-    """How a residue field was built from a base field.
-
-    ``transcendentals`` counts adjoined transcendental generators (such
-    as the residue of t*b).
-    """
-
-    transcendentals: int = 0
-
-    def __post_init__(self):
-        if self.transcendentals < 0:
-            raise NonPositiveError("transcendental count must be >= 0")
-
-
-@dataclass(frozen=True)
 class DVRSpec:
-    """A DVR with u-value e (u generates the e-th power of the maximal ideal)."""
+    """A DVR with u-value e (u generates the e-th power of the maximal ideal).
+
+    ``transcendentals`` counts the transcendental generators (such as
+    the residue of t*b) adjoined to its residue field.
+    """
 
     label: str
     uniformizer_exponent: int
-    residue: ResidueDescriptor = ResidueDescriptor()
+    transcendentals: int = 0
 
     def __post_init__(self):
         if self.uniformizer_exponent < 1:
             raise NonPositiveError("uniformizer exponent must be >= 1")
+        if self.transcendentals < 0:
+            raise NonPositiveError("transcendental count must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -115,8 +106,7 @@ def lift_to_rees_w(v: DVRSpec, label: str = "W") -> DVRSpec:
     The lift keeps the uniformizer exponent (its ramification is one)
     and enlarges the residue field by one transcendental generator.
     """
-    residue = replace(v.residue, transcendentals=v.residue.transcendentals + 1)
-    return DVRSpec(label=label, uniformizer_exponent=v.uniformizer_exponent, residue=residue)
+    return replace(v, label=label, transcendentals=v.transcendentals + 1)
 
 
 def unramified_kummer_step(w: DVRSpec, to_label: str = "U") -> ExtensionStep:
@@ -128,7 +118,7 @@ def unramified_kummer_step(w: DVRSpec, to_label: str = "U") -> ExtensionStep:
     a transcendental residue generator the irreducibility argument is
     unavailable.
     """
-    if w.residue.transcendentals < 1:
+    if w.transcendentals < 1:
         raise NoTranscendentalError(
             "unramified Kummer step needs a transcendental residue generator"
         )
@@ -171,7 +161,7 @@ def itoh_tower(e_j: int, e: int) -> Tower:
         raise NonPositiveError("both exponents must be >= 1")
     if e % e_j != 0:
         raise NotMultipleError(f"{e} is not a multiple of {e_j}")
-    base = DVRSpec(label="W", uniformizer_exponent=e_j, residue=ResidueDescriptor(transcendentals=1))
+    base = DVRSpec(label="W", uniformizer_exponent=e_j, transcendentals=1)
     kummer = unramified_kummer_step(base, to_label="U")
     root = totally_ramified_root_step("U", e // e_j, to_label="V*")
     return Tower(base=base, steps=(kummer, root))

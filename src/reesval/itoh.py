@@ -175,7 +175,7 @@ def radicality_equivalence(rees: ReesData | Sequence[int], k: int) -> Equivalenc
     """
     rd = rees_data(rees)
     report = itoh_structure(rd, k)
-    via_tower = all(r.u_exponent == 1 for r in report.per_valuation)
+    via_tower = report.is_radical
 
     vec = SemilocalIdeal(report.u_exponents)
     via_exponent_vector = semilocal_radical(vec) == vec

@@ -9,6 +9,9 @@ from reesval.cli import main
 IDEAL_X2_Y3 = "dim 2\n2 0\n0 3\n"
 IDEAL_X2_Y2 = "dim 2\n2 0\n0 2\n"
 IDEAL_X_Y = "dim 2\n1 0\n0 1\n"
+IDEAL_X2_Y3_Z6 = "dim 3\n2 0 0\n0 3 0\n0 0 6\n"
+IDEAL_XY_Z2 = "dim 3\n1 1 0\n0 0 2\n"
+IDEAL_X3 = "dim 1\n3\n"
 
 
 @pytest.fixture
@@ -182,8 +185,76 @@ class TestClosureCommand:
         assert "monomials: [y^3, x*y^2, x^2]" in out
 
     def test_rejects_bad_power(self, capsys, ideal_file):
-        code, _, _ = run_cli(capsys, "closure", ideal_file(IDEAL_X2_Y3), "--k", "0")
+        code, out, err = run_cli(capsys, "closure", ideal_file(IDEAL_X2_Y3), "--k", "0")
         assert code == 2
+        assert out == ""
+        assert err == "error: power must be >= 1, got 0\n"
+
+
+class TestOneAndThreeDimensional:
+    """Golden reports for ideals that go through the double-description facets."""
+
+    def test_rees_pure_powers_3d(self, capsys, ideal_file):
+        # the one facet of (x^2, y^3, z^6) is 3x + 2y + z >= 6
+        code, out, err = run_cli(capsys, "rees", ideal_file(IDEAL_X2_Y3_Z6))
+        assert code == 0
+        assert err == ""
+        assert out == (
+            "command: rees\n"
+            "input:\n"
+            "  dim: 3\n"
+            "  generators: [[0, 0, 6], [0, 3, 0], [2, 0, 0]]\n"
+            "  monomials: [z^6, y^3, x^2]\n"
+            "valuations:\n"
+            "  - normal: [3, 2, 1]\n"
+            "    rees_integer: 6\n"
+            "rees_integers: [6]\n"
+            "lcm: 6\n"
+        )
+
+    def test_rees_two_valuations_3d(self, capsys, ideal_file):
+        # (xy, z^2): facets 2y + z >= 2 and 2x + z >= 2
+        code, out, _ = run_cli(capsys, "--json", "rees", ideal_file(IDEAL_XY_Z2))
+        assert code == 0
+        assert json.loads(out)["payload"] == {
+            "valuations": [
+                {"normal": [0, 2, 1], "rees_integer": 2},
+                {"normal": [2, 0, 1], "rees_integer": 2},
+            ],
+            "rees_integers": [2, 2],
+            "lcm": 2,
+        }
+
+    def test_closure_3d(self, capsys, ideal_file):
+        # (xy, z^2)^2 is already integrally closed
+        code, out, _ = run_cli(capsys, "--json", "closure", ideal_file(IDEAL_XY_Z2), "--k", "2")
+        assert code == 0
+        assert json.loads(out) == {
+            "command": "closure",
+            "input": {
+                "dim": 3,
+                "generators": [[0, 0, 2], [1, 1, 0]],
+                "monomials": ["z^2", "x*y"],
+                "k": 2,
+            },
+            "payload": {
+                "closure_generators": [[0, 0, 4], [1, 1, 2], [2, 2, 0]],
+                "monomials": ["z^4", "x*y*z^2", "x^2*y^2"],
+            },
+            "warnings": [],
+        }
+        _, text, _ = run_cli(capsys, "closure", ideal_file(IDEAL_XY_Z2), "--k", "2")
+        assert "monomials: [z^4, x*y*z^2, x^2*y^2]\n" in text
+
+    def test_one_dimensional(self, capsys, ideal_file):
+        path = ideal_file(IDEAL_X3)
+        code, out, _ = run_cli(capsys, "rees", path)
+        assert code == 0
+        assert "valuations:\n  - normal: [1]\n    rees_integer: 3\n" in out
+        assert out.endswith("rees_integers: [3]\nlcm: 3\n")
+        code, out, _ = run_cli(capsys, "closure", path, "--k", "2")
+        assert code == 0
+        assert out.endswith("closure_generators: [[6]]\nmonomials: [x^6]\n")
 
 
 class TestJsonOutput:

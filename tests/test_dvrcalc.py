@@ -10,7 +10,6 @@ from reesval.dvrcalc import (
     UNRAMIFIED_KUMMER,
     DVRSpec,
     ExtensionStep,
-    ResidueDescriptor,
     Tower,
     check_fundamental,
     compose,
@@ -39,7 +38,7 @@ class TestLift:
         v = DVRSpec("V", 2)
         w = lift_to_rees_w(v)
         assert w.uniformizer_exponent == 2
-        assert w.residue.transcendentals == 1
+        assert w.transcendentals == 1
 
     def test_exponent_preserved(self):
         assert lift_to_rees_w(DVRSpec("V", 1)).uniformizer_exponent == 1
@@ -47,13 +46,24 @@ class TestLift:
     def test_composes(self):
         v = DVRSpec("V", 3)
         ww = lift_to_rees_w(lift_to_rees_w(v), label="W2")
-        assert ww.residue.transcendentals == 2
+        assert ww.transcendentals == 2
+
+    @pytest.mark.parametrize(
+        "exponent,transcendentals,message",
+        [
+            (0, 0, "uniformizer exponent must be >= 1"),
+            (2, -1, "transcendental count must be >= 0"),
+        ],
+    )
+    def test_rejects_bad_spec(self, exponent, transcendentals, message):
+        with pytest.raises(NonPositiveError, match=message):
+            DVRSpec("V", exponent, transcendentals=transcendentals)
 
 
 class TestKummerStep:
     @pytest.mark.parametrize("e,expected", [(3, (3, 1, 3)), (1, (1, 1, 1)), (6, (6, 1, 6))])
     def test_invariants(self, e, expected):
-        w = DVRSpec("W", e, ResidueDescriptor(transcendentals=1))
+        w = DVRSpec("W", e, transcendentals=1)
         s = unramified_kummer_step(w)
         assert s.invariants == expected
         assert s.kind == UNRAMIFIED_KUMMER
@@ -173,7 +183,7 @@ class TestCompose:
         # W <= U <= D with [U:W] = k unramified and D totally ramified of order h
         for k in range(1, 9):
             for h in range(1, 9):
-                w = DVRSpec("W", k, ResidueDescriptor(transcendentals=1))
+                w = DVRSpec("W", k, transcendentals=1)
                 u_step = unramified_kummer_step(w)
                 d_step = totally_ramified_root_step("U", h, to_label="D")
                 total = compose(u_step, d_step)
