@@ -176,8 +176,6 @@ def cmd_itoh(args: argparse.Namespace) -> Report:
 
 
 def cmd_tower(args: argparse.Namespace) -> Report:
-    if args.e < 1 or args.k < 1:
-        raise BadKError("both --e and --k must be >= 1")
     step = dvrcalc.general_k_extension(args.e, args.k)
     check = dvrcalc.check_fundamental(step)
     payload: dict[str, Any] = {
@@ -286,8 +284,6 @@ def _parse_components(raw: str) -> krull.ComponentPlan:
 
 def cmd_co2(args: argparse.Namespace) -> Report:
     plan = _parse_components(args.components)
-    if args.e < 1:
-        raise BadKError(f"--e must be >= 1, got {args.e}")
     report = krull.direct_sum_plan(plan, args.e)
     payload = {
         "extension_degree": report.extension_degree,

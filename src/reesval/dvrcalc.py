@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import (
@@ -24,10 +24,6 @@ from .errors import (
     NoTranscendentalError,
     NotMultipleError,
 )
-
-UNRAMIFIED_KUMMER = "unramified-kummer"
-TOTALLY_RAMIFIED_ROOT = "totally-ramified-root"
-COMPOSITE = "composite"
 
 
 @dataclass(frozen=True)
@@ -64,7 +60,6 @@ class ExtensionStep:
     degree: int
     ramification: int
     residue_degree: int
-    kind: str = COMPOSITE
     no_splitting: bool = True
 
     def __post_init__(self):
@@ -100,15 +95,6 @@ class Tower:
         return functools.reduce(compose, self.steps, ExtensionStep(base, base, 1, 1, 1))
 
 
-def lift_to_rees_w(v: DVRSpec, label: str = "W") -> DVRSpec:
-    """Lift a Rees valuation ring of an ideal to one of the extended Rees ring.
-
-    The lift keeps the uniformizer exponent (its ramification is one)
-    and enlarges the residue field by one transcendental generator.
-    """
-    return replace(v, label=label, transcendentals=v.transcendentals + 1)
-
-
 def unramified_kummer_step(w: DVRSpec, to_label: str = "U") -> ExtensionStep:
     """Adjoin a root of X^e - w for the residue-transcendental unit w = v/(t*b).
 
@@ -129,24 +115,19 @@ def unramified_kummer_step(w: DVRSpec, to_label: str = "U") -> ExtensionStep:
         degree=e,
         ramification=1,
         residue_degree=e,
-        kind=UNRAMIFIED_KUMMER,
     )
 
 
-def totally_ramified_root_step(
-    level: DVRSpec | str, f: int, to_label: str = "V*"
-) -> ExtensionStep:
+def totally_ramified_root_step(from_label: str, f: int, to_label: str = "V*") -> ExtensionStep:
     """Adjoin an f-th root of the uniformizer: degree f, ramification f."""
     if f < 1:
         raise NonPositiveError(f"root order must be >= 1, got {f}")
-    from_label = level.label if isinstance(level, DVRSpec) else level
     return ExtensionStep(
         from_label=from_label,
         to_label=to_label,
         degree=f,
         ramification=f,
         residue_degree=1,
-        kind=TOTALLY_RAMIFIED_ROOT,
     )
 
 
@@ -184,7 +165,6 @@ def general_k_extension(
         degree=k,
         ramification=k // d,
         residue_degree=d,
-        kind=COMPOSITE,
     )
 
 
@@ -200,7 +180,6 @@ def compose(t1: ExtensionStep, t2: ExtensionStep) -> ExtensionStep:
         degree=t1.degree * t2.degree,
         ramification=t1.ramification * t2.ramification,
         residue_degree=t1.residue_degree * t2.residue_degree,
-        kind=COMPOSITE,
         no_splitting=t1.no_splitting and t2.no_splitting,
     )
 

@@ -5,8 +5,8 @@ root of the distinguished degree-(-1) element produces one valuation
 per Rees valuation; its invariants are pure gcd arithmetic in (e_j, k),
 and the extended principal ideal is the exponent vector (h_1, ..., h_n)
 over the maximal ideals of a semilocal Dedekind domain.  Radicality,
-products, radicals, projective equivalence and projective fullness of
-such ideals are all decided by exponent arithmetic.
+radicals, projective equivalence and projective fullness of such
+ideals are all decided by exponent arithmetic.
 """
 
 from __future__ import annotations
@@ -203,13 +203,6 @@ def radicality_equivalence(rees: ReesData | Sequence[int], k: int) -> Equivalenc
             f"radicality statements disagree for rees={rd.entries}, k={k}: {result}"
         )
     return result
-
-
-def semilocal_product(a: SemilocalIdeal, b: SemilocalIdeal) -> SemilocalIdeal:
-    """Ideal product: exponents add componentwise."""
-    if len(a) != len(b):
-        raise IndexMismatchError(f"index sets differ: {len(a)} vs {len(b)}")
-    return SemilocalIdeal(tuple(x + y for x, y in zip(a.exponents, b.exponents)))
 
 
 def semilocal_radical(a: SemilocalIdeal) -> SemilocalIdeal:

@@ -398,33 +398,24 @@ def oracle_is_integral(ideal: MonomialIdeal, k: int, m: Sequence[int]) -> bool:
     return _fm_feasible(cons, n - 1)
 
 
-def principal_rees(b: Sequence[int], dim: int) -> ReesPackage:
-    """Rees valuations of a principal monomial ideal.
-
-    The Newton polyhedron of (x^b) is the orthant shifted to b, so the
-    facets are the coordinate walls through b: one valuation per
-    nonzero coordinate, with the coordinate as Rees integer.
-    """
-    b = tuple(int(e) for e in b)
-    if len(b) != dim:
-        raise InconsistentDimensionError(f"exponent {b} has length {len(b)}, expected {dim}")
-    if all(e == 0 for e in b):
-        raise ZeroExponentError("principal ideal needs a nonzero exponent vector")
-    if any(e < 0 for e in b):
-        raise ZeroExponentError(f"negative exponent in {b}")
-    specs = [ReesValuationSpec(_unit(i, dim), e) for i, e in enumerate(b) if e > 0]
-    return ReesPackage(MonomialIdeal(dim, (b,)), tuple(specs))
-
-
 def ideal_power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
-    """The k-th power as an ideal: k-fold sums of generators, minimalized."""
+    """The k-th power as an ideal, by repeated multiplication.
+
+    I^j = I^(j-1) * I is generated by the sums of one minimal generator
+    of I^(j-1) and one of I, so each step minimalizes those products
+    instead of all C(n+k-1, k) k-fold sums of the n generators.
+    """
     if k < 1:
         raise NonPositivePowerError(f"power must be >= 1, got {k}")
-    sums = {
-        tuple(sum(col) for col in zip(*combo))
-        for combo in itertools.combinations_with_replacement(ideal.generators, k)
-    }
-    return minimalize(sums, ideal.dim)
+    power = ideal
+    for _ in range(k - 1):
+        sums = (
+            tuple(a + b for a, b in zip(p, g))
+            for p in power.generators
+            for g in ideal.generators
+        )
+        power = minimalize(sums, ideal.dim)
+    return power
 
 
 def parse_ideal(text: str) -> MonomialIdeal:

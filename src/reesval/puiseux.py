@@ -42,44 +42,31 @@ class PuiseuxModel:
             raise NonPositiveError("model requires e >= 1 and k >= 1")
 
 
-@dataclass(frozen=True)
-class NewtonPolygonInput:
-    """The polygon of X^degree - a over an s-adic valuation.
-
-    ``constant_valuation`` is the s-valuation of the constant term.
-    """
-
-    degree: int
-    constant_valuation: Fraction
-
-    def __post_init__(self):
-        if self.degree < 1:
-            raise NonPositiveError("degree must be >= 1")
-        object.__setattr__(self, "constant_valuation", Fraction(self.constant_valuation))
-
-
 def oracle_ramification(model: PuiseuxModel) -> int:
     """Index of Z inside the value group extended by the value e/k of u^(1/k)."""
-    group = subgroup_generated([Fraction(1), Fraction(model.e, model.k)])
-    index = 1 / group.generator
+    generator = subgroup_generated([Fraction(1), Fraction(model.e, model.k)])
+    index = 1 / generator
     if index.denominator != 1:
         raise FundamentalEqualityViolation(
-            f"extended value group {group.generator} does not contain Z"
+            f"extended value group {generator} does not contain Z"
         )
     return int(index)
 
 
-def newton_polygon_irreducible(poly: NewtonPolygonInput) -> bool:
+def newton_polygon_irreducible(degree: int, constant_valuation: Fraction | int) -> bool:
     """Certify irreducibility of X^d - a by the one-segment slope criterion.
 
-    The polygon is the single segment from (0, v(a)) to (d, 0); the
-    polynomial is certified irreducible exactly when the slope v(a)/d
-    in lowest terms has denominator d.
+    ``degree`` is d >= 1 and ``constant_valuation`` the s-valuation v(a)
+    of the constant term.  The polygon is the single segment from
+    (0, v(a)) to (d, 0); the polynomial is certified irreducible exactly
+    when the slope v(a)/d in lowest terms has denominator d.
     """
-    v = poly.constant_valuation
+    if degree < 1:
+        raise NonPositiveError("degree must be >= 1")
+    v = Fraction(constant_valuation)
     if v.denominator != 1:
         raise NonIntegralSetupError(f"constant term valuation {v} is not an integer")
-    return (v / poly.degree).denominator == poly.degree
+    return (v / degree).denominator == degree
 
 
 def oracle_residue_degree(model: PuiseuxModel) -> int:
@@ -94,7 +81,7 @@ def oracle_residue_degree(model: PuiseuxModel) -> int:
     e, k = model.e, model.k
     a = next(a for a in range(1, k + 1) if (a * e) % k == 0)
     d = k // a
-    if not newton_polygon_irreducible(NewtonPolygonInput(d, Fraction(-1))):
+    if not newton_polygon_irreducible(d, -1):
         raise FundamentalEqualityViolation(
             f"X^{d} - w unexpectedly fails the irreducibility certificate"
         )

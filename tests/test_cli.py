@@ -91,8 +91,11 @@ class TestTowerCommand:
         assert "agreement: yes" in out
 
     def test_rejects_zero(self, capsys):
-        code, _, _ = run_cli(capsys, "tower", "--e", "0", "--k", "2")
-        assert code == 2
+        for e, k in (("0", "2"), ("3", "0")):
+            code, out, err = run_cli(capsys, "tower", "--e", e, "--k", k, "--oracle")
+            assert code == 2
+            assert out == ""
+            assert err == "error: both e and k must be >= 1\n"
 
 
 class TestKrullCommand:
@@ -159,6 +162,12 @@ class TestCo2Command:
         code, _, err = run_cli(capsys, "co2", "--components", "2,3", "--e", "4")
         assert code == 2
         assert "lcm 6" in err
+
+    def test_rejects_zero_target(self, capsys):
+        code, out, err = run_cli(capsys, "co2", "--components", "2,3", "--e", "0")
+        assert code == 2
+        assert out == ""
+        assert err == "error: target integer must be >= 1, got 0\n"
 
     @pytest.mark.parametrize("components", ["2,0", "0;"])
     def test_zero_rees_integer_is_an_input_error(self, capsys, components):

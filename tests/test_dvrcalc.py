@@ -5,9 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from reesval.dvrcalc import (
-    COMPOSITE,
-    TOTALLY_RAMIFIED_ROOT,
-    UNRAMIFIED_KUMMER,
     DVRSpec,
     ExtensionStep,
     Tower,
@@ -15,7 +12,6 @@ from reesval.dvrcalc import (
     compose,
     general_k_extension,
     itoh_tower,
-    lift_to_rees_w,
     totally_ramified_root_step,
     unramified_kummer_step,
 )
@@ -34,19 +30,12 @@ def step(degree, ramification, residue_degree, frm="A", to="B", no_splitting=Tru
 
 
 class TestLift:
-    def test_adds_transcendental(self):
-        v = DVRSpec("V", 2)
-        w = lift_to_rees_w(v)
-        assert w.uniformizer_exponent == 2
-        assert w.transcendentals == 1
-
-    def test_exponent_preserved(self):
-        assert lift_to_rees_w(DVRSpec("V", 1)).uniformizer_exponent == 1
-
-    def test_composes(self):
-        v = DVRSpec("V", 3)
-        ww = lift_to_rees_w(lift_to_rees_w(v), label="W2")
-        assert ww.transcendentals == 2
+    def test_itoh_tower_base_is_the_lift(self):
+        # W lifts a Rees valuation ring with u-value e_j to the extended
+        # Rees ring: same exponent, one transcendental residue generator.
+        for e_j in range(1, 9):
+            base = itoh_tower(e_j, 2 * e_j).base
+            assert base == DVRSpec("W", e_j, transcendentals=1)
 
     @pytest.mark.parametrize(
         "exponent,transcendentals,message",
@@ -66,7 +55,6 @@ class TestKummerStep:
         w = DVRSpec("W", e, transcendentals=1)
         s = unramified_kummer_step(w)
         assert s.invariants == expected
-        assert s.kind == UNRAMIFIED_KUMMER
 
     def test_requires_transcendental(self):
         with pytest.raises(NoTranscendentalError):
@@ -78,7 +66,6 @@ class TestRootStep:
     def test_invariants(self, f, expected):
         s = totally_ramified_root_step("U", f)
         assert s.invariants == expected
-        assert s.kind == TOTALLY_RAMIFIED_ROOT
 
     def test_rejects_nonpositive(self):
         with pytest.raises(NonPositiveError):

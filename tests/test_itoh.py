@@ -19,7 +19,6 @@ from reesval.itoh import (
     itoh_structure,
     jacobson_radical,
     radicality_equivalence,
-    semilocal_product,
     semilocal_radical,
 )
 
@@ -109,19 +108,6 @@ class TestRadicalityEquivalence:
 
 
 class TestSemilocalArithmetic:
-    def test_product_examples(self):
-        one = SemilocalIdeal((1, 0))
-        other = SemilocalIdeal((0, 1))
-        assert semilocal_product(one, other) == SemilocalIdeal((1, 1))
-        sq = SemilocalIdeal((2, 3))
-        assert semilocal_product(sq, sq) == SemilocalIdeal((4, 6))
-        unit = SemilocalIdeal((0, 0))
-        assert semilocal_product(unit, sq) == sq
-
-    def test_product_index_mismatch(self):
-        with pytest.raises(IndexMismatchError):
-            semilocal_product(SemilocalIdeal((1,)), SemilocalIdeal((1, 2)))
-
     def test_radical_examples(self):
         assert semilocal_radical(SemilocalIdeal((3, 1))) == SemilocalIdeal((1, 1))
         assert semilocal_radical(SemilocalIdeal((1, 1))) == SemilocalIdeal((1, 1))
@@ -139,21 +125,6 @@ class TestSemilocalArithmetic:
             j = jacobson_radical(n)
             assert semilocal_radical(j) == j
             assert is_projectively_full(j)
-
-    @given(
-        st.lists(st.integers(0, 9), min_size=1, max_size=5),
-        st.lists(st.integers(0, 9), min_size=1, max_size=5),
-        st.lists(st.integers(0, 9), min_size=1, max_size=5),
-    )
-    def test_product_monoid_laws(self, xs, ys, zs):
-        n = min(len(xs), len(ys), len(zs))
-        a, b, c = (SemilocalIdeal(tuple(v[:n])) for v in (xs, ys, zs))
-        assert semilocal_product(a, b) == semilocal_product(b, a)
-        assert semilocal_product(semilocal_product(a, b), c) == semilocal_product(
-            a, semilocal_product(b, c)
-        )
-        unit = SemilocalIdeal((0,) * n)
-        assert semilocal_product(a, unit) == a
 
     @given(st.lists(st.integers(0, 9), min_size=1, max_size=5))
     def test_radical_idempotent(self, xs):

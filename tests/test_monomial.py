@@ -17,7 +17,6 @@ from reesval.errors import (
     InconsistentDimensionError,
     NonPositivePowerError,
     ParseError,
-    ZeroExponentError,
 )
 from reesval.monomial import (
     MonomialIdeal,
@@ -29,7 +28,6 @@ from reesval.monomial import (
     monomial_str,
     oracle_is_integral,
     parse_ideal,
-    principal_rees,
     rees_valuations,
 )
 
@@ -375,28 +373,57 @@ class TestReesValuations:
         assert first == second
 
 
+def principal(b):
+    return rees_valuations(MonomialIdeal(len(b), (b,)))
+
+
 class TestPrincipalRees:
+    """(x^b) has one Rees valuation per nonzero coordinate of b: the
+    coordinate wall through b, with that coordinate as Rees integer."""
+
     def test_single_variable(self):
-        assert normals_and_integers(principal_rees((1, 0), 2)) == [((1, 0), 1)]
+        assert normals_and_integers(principal((1, 0))) == [((1, 0), 1)]
 
     def test_two_variables(self):
-        assert normals_and_integers(principal_rees((2, 3), 2)) == [
+        assert normals_and_integers(principal((2, 3))) == [
             ((0, 1), 3),
             ((1, 0), 2),
         ]
 
     def test_other_axis(self):
-        assert normals_and_integers(principal_rees((0, 4), 2)) == [((0, 1), 4)]
+        assert normals_and_integers(principal((0, 4))) == [((0, 1), 4)]
+
+    def test_one_dimensional(self):
+        assert normals_and_integers(principal((5,))) == [((1,), 5)]
+
+    def test_three_variables(self):
+        # a single generator leaves _facets_dd with only its basis rays
+        assert normals_and_integers(principal((2, 0, 3))) == [
+            ((0, 0, 1), 3),
+            ((1, 0, 0), 2),
+        ]
+        assert normals_and_integers(principal((1, 4, 2))) == [
+            ((0, 0, 1), 2),
+            ((0, 1, 0), 4),
+            ((1, 0, 0), 1),
+        ]
 
     def test_agrees_with_newton_polyhedron(self):
-        for b in [(2, 3), (1, 0), (0, 4), (5, 5)]:
-            direct = principal_rees(b, 2)
-            via_hull = rees_valuations(minimalize({b}))
-            assert normals_and_integers(direct) == normals_and_integers(via_hull)
+        for d in (1, 2, 3):
+            for b in itertools.product(range(4), repeat=d):
+                if not any(b):
+                    continue
+                walls = [
+                    (tuple(int(j == i) for j in range(d)), e)
+                    for i, e in enumerate(b)
+                    if e
+                ]
+                assert normals_and_integers(principal(b)) == sorted(walls)
 
     def test_zero_rejected(self):
-        with pytest.raises(ZeroExponentError):
-            principal_rees((0, 0), 2)
+        for d in (1, 2, 3):
+            with pytest.raises(ImproperIdealError):
+                principal((0,) * d)
 
 
 class TestIntegralClosure:
@@ -528,6 +555,39 @@ class TestPowerStability:
                 assert [v.rees_integer for v in powered.valuations] == [
                     k * v.rees_integer for v in base.valuations
                 ]
+
+
+def kfold_sums_power(ideal, k):
+    """Minimal generators of I^k from every k-fold sum of generators."""
+    sums = {
+        tuple(map(sum, zip(*combo)))
+        for combo in itertools.combinations_with_replacement(ideal.generators, k)
+    }
+    return minimalize(sums, ideal.dim).generators
+
+
+class TestIdealPower:
+    def test_matches_kfold_sums(self):
+        rng = random.Random(23)
+        for dim in (1, 2, 3):
+            for _ in range(40):
+                ideal = random_ideal(rng, dim=dim, max_coord=5, max_gens=6)
+                for k in range(1, 5):
+                    assert ideal_power(ideal, k).generators == kfold_sums_power(ideal, k)
+
+    def test_rejects_nonpositive_power(self):
+        with pytest.raises(NonPositivePowerError):
+            ideal_power(minimalize({(1, 0), (0, 1)}), 0)
+
+    def test_many_generators_high_power(self):
+        # 16 generators at k = 8: C(23, 8) = 490314 eight-fold sums,
+        # against 7 products of at most 16 times 121 generators.
+        ideal = minimalize({(i, (15 - i) ** 2) for i in range(16)})
+        start = time.perf_counter()
+        power = ideal_power(ideal, 8)
+        assert time.perf_counter() - start < 1.0
+        assert power.generators[0] == (0, 1800)
+        assert power.generators[-1] == (120, 0)
 
 
 class TestParse:

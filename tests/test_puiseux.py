@@ -6,7 +6,6 @@ import sympy
 
 from reesval.errors import NonIntegralSetupError, NonPositiveError
 from reesval.puiseux import (
-    NewtonPolygonInput,
     PuiseuxModel,
     newton_polygon_irreducible,
     oracle_extension,
@@ -50,28 +49,33 @@ class TestResidueDegree:
 
 class TestNewtonPolygon:
     def test_degree_three(self):
-        assert newton_polygon_irreducible(NewtonPolygonInput(3, Fraction(-1)))
+        assert newton_polygon_irreducible(3, -1)
         assert sympy_irreducible(3, 1)
 
     def test_linear(self):
-        assert newton_polygon_irreducible(NewtonPolygonInput(1, Fraction(-1)))
+        assert newton_polygon_irreducible(1, -1)
 
     def test_degree_four_even_valuation(self):
-        assert not newton_polygon_irreducible(NewtonPolygonInput(4, Fraction(-2)))
+        assert not newton_polygon_irreducible(4, -2)
         assert not sympy_irreducible(4, 2)
 
     def test_slope_minus_one_over_d(self):
         for d in range(1, 21):
-            assert newton_polygon_irreducible(NewtonPolygonInput(d, Fraction(-1)))
+            assert newton_polygon_irreducible(d, -1)
 
     @pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (3, 2), (3, 3), (4, 1), (4, 3), (5, 5), (6, 4)])
     def test_matches_factorization_oracle(self, d, n):
-        criterion = newton_polygon_irreducible(NewtonPolygonInput(d, Fraction(-n)))
+        criterion = newton_polygon_irreducible(d, -n)
         assert criterion == sympy_irreducible(d, n)
 
     def test_rejects_fractional_valuation(self):
         with pytest.raises(NonIntegralSetupError):
-            newton_polygon_irreducible(NewtonPolygonInput(2, Fraction(1, 2)))
+            newton_polygon_irreducible(2, Fraction(1, 2))
+
+    @pytest.mark.parametrize("degree", [0, -1])
+    def test_rejects_nonpositive_degree(self, degree):
+        with pytest.raises(NonPositiveError, match="degree must be >= 1"):
+            newton_polygon_irreducible(degree, -1)
 
 
 class TestOracleExtension:
