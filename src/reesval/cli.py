@@ -15,7 +15,8 @@ import sys
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from . import dvrcalc, krull, monomial, puiseux
+# Each command imports the modules it uses, so a process pays only for
+# its own command.
 from .errors import (
     BadKError,
     InputError,
@@ -23,8 +24,6 @@ from .errors import (
     OracleDisagreement,
     VerificationError,
 )
-from .itoh import ReesData, itoh_structure
-from .numcore import lcm_list
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -102,7 +101,10 @@ def render_text(report: Report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_rees_flag(raw: str) -> ReesData:
+def _parse_rees_flag(raw: str):
+    """The ``itoh.ReesData`` of a comma-separated list of Rees integers."""
+    from .itoh import ReesData
+
     try:
         entries = tuple(int(part) for part in raw.split(","))
     except ValueError:
@@ -110,26 +112,34 @@ def _parse_rees_flag(raw: str) -> ReesData:
     return ReesData(entries)
 
 
-def _read_ideal(path: str) -> monomial.MonomialIdeal:
+def _read_ideal(path: str):
+    """The ``monomial.MonomialIdeal`` in the file at ``path``."""
+    from .monomial import parse_ideal
+
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
-    return monomial.parse_ideal(text)
+    return parse_ideal(text)
 
 
-def _ideal_echo(ideal: monomial.MonomialIdeal) -> dict[str, Any]:
+def _ideal_echo(ideal) -> dict[str, Any]:
+    from .monomial import monomial_str
+
     return {
         "dim": ideal.dim,
         "generators": [list(g) for g in ideal.generators],
-        "monomials": [monomial.monomial_str(g) for g in ideal.generators],
+        "monomials": [monomial_str(g) for g in ideal.generators],
     }
 
 
 def cmd_rees(args: argparse.Namespace) -> Report:
+    from .monomial import rees_valuations
+    from .numcore import lcm_list
+
     ideal = _read_ideal(args.ideal_file)
-    package = monomial.rees_valuations(ideal)
+    package = rees_valuations(ideal)
     payload = {
         "valuations": [
             {"normal": list(v.normal), "rees_integer": v.rees_integer}
@@ -142,18 +152,22 @@ def cmd_rees(args: argparse.Namespace) -> Report:
 
 
 def cmd_closure(args: argparse.Namespace) -> Report:
+    from .monomial import integral_closure_power, monomial_str
+
     ideal = _read_ideal(args.ideal_file)
-    closure = monomial.integral_closure_power(ideal, args.k)
+    closure = integral_closure_power(ideal, args.k)
     echo = _ideal_echo(ideal)
     echo["k"] = args.k
     payload = {
         "closure_generators": [list(g) for g in closure.generators],
-        "monomials": [monomial.monomial_str(g) for g in closure.generators],
+        "monomials": [monomial_str(g) for g in closure.generators],
     }
     return Report("closure", echo, payload)
 
 
 def cmd_itoh(args: argparse.Namespace) -> Report:
+    from .itoh import itoh_structure
+
     rees = _parse_rees_flag(args.rees)
     report = itoh_structure(rees, args.k)
     payload = {
@@ -176,8 +190,10 @@ def cmd_itoh(args: argparse.Namespace) -> Report:
 
 
 def cmd_tower(args: argparse.Namespace) -> Report:
-    step = dvrcalc.general_k_extension(args.e, args.k)
-    check = dvrcalc.check_fundamental(step)
+    from .dvrcalc import check_fundamental, general_k_extension
+
+    step = general_k_extension(args.e, args.k)
+    check = check_fundamental(step)
     payload: dict[str, Any] = {
         "degree": step.degree,
         "ramification": step.ramification,
@@ -185,6 +201,8 @@ def cmd_tower(args: argparse.Namespace) -> Report:
         "fundamental_equality": check.ok,
     }
     if args.oracle:
+        from . import puiseux
+
         ram, res, deg = puiseux.oracle_extension(puiseux.PuiseuxModel(args.e, args.k))
         agreement = (ram, res, deg) == (step.ramification, step.residue_degree, step.degree)
         payload["oracle"] = {
@@ -201,7 +219,8 @@ def cmd_tower(args: argparse.Namespace) -> Report:
     return Report("tower", echo, payload)
 
 
-def _system_payload(system: krull.ConsistentSystem) -> dict[str, Any]:
+def _system_payload(system) -> dict[str, Any]:
+    """The payload block of a ``krull.ConsistentSystem``."""
     return {
         "m": system.m,
         "family": system.family,
@@ -220,6 +239,8 @@ def _system_payload(system: krull.ConsistentSystem) -> dict[str, Any]:
 
 
 def cmd_krull(args: argparse.Namespace) -> Report:
+    from . import krull
+
     rees = _parse_rees_flag(args.rees)
     system = krull.build_system(args.family, rees, args.k)
     decision = krull.realizability_gate(
@@ -267,24 +288,29 @@ def cmd_krull(args: argparse.Namespace) -> Report:
     return Report("krull", echo, payload, warnings)
 
 
-def _parse_components(raw: str) -> krull.ComponentPlan:
+def _parse_components(raw: str):
+    """The ``krull.ComponentPlan`` of semicolon-separated Rees lists."""
+    from .krull import Component, ComponentPlan
+
     components = []
     for segment in raw.split(";"):
         segment = segment.strip()
         if not segment:
-            components.append(krull.Component(rees_integers=(), participates=False))
+            components.append(Component(rees_integers=(), participates=False))
             continue
         try:
             entries = tuple(int(part) for part in segment.split(","))
         except ValueError:
             raise BadKError(f"bad component Rees list {segment!r}") from None
-        components.append(krull.Component(rees_integers=entries, participates=True))
-    return krull.ComponentPlan(tuple(components))
+        components.append(Component(rees_integers=entries, participates=True))
+    return ComponentPlan(tuple(components))
 
 
 def cmd_co2(args: argparse.Namespace) -> Report:
+    from .krull import direct_sum_plan
+
     plan = _parse_components(args.components)
-    report = krull.direct_sum_plan(plan, args.e)
+    report = direct_sum_plan(plan, args.e)
     payload = {
         "extension_degree": report.extension_degree,
         "components": [
@@ -347,7 +373,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("krull", help="consistent systems and realization plans")
     p.add_argument("--rees", required=True, help="comma-separated Rees integers")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--family", required=True, choices=krull.FAMILIES)
+    p.add_argument(
+        "--family", required=True, help="system family code; an unknown code lists the valid ones"
+    )
     p.add_argument("--has-extra-dvr", action="store_true")
     p.add_argument("--has-separable-approximation", action="store_true")
     p.add_argument("--residues-algebraically-closed", action="store_true")

@@ -48,6 +48,10 @@ FAMILY_INERT = "T"
 FAMILY_RAMIFIED = "U"
 FAMILY_ROOT = "EXP2"
 
+# realize_plan lists one exponent per maximal ideal, so it refuses
+# systems with more than this many
+MAX_MAXIMAL_IDEALS = 100_000
+
 
 @dataclass(frozen=True)
 class SystemEntry:
@@ -158,7 +162,9 @@ def build_system(family: str, rees: ReesData | Sequence[int], k: int) -> Consist
     try:
         builder = _BUILDERS[family]
     except KeyError:
-        raise BadKError(f"unknown system family {family!r}") from None
+        raise BadKError(
+            f"unknown system family {family!r}; expected one of {', '.join(FAMILIES)}"
+        ) from None
     return builder(rees, k)
 
 
@@ -233,6 +239,11 @@ def realize_plan(system: ConsistentSystem, rees: ReesData | Sequence[int]) -> Re
     if len(system.per_valuation) != len(rd):
         raise IndexMismatchError(
             f"system has {len(system.per_valuation)} valuations, Rees data has {len(rd)}"
+        )
+    count = sum(system.extension_count(j) for j in range(len(rd)))
+    if count > MAX_MAXIMAL_IDEALS:
+        raise BadKError(
+            f"realization has {count} maximal ideals, above the limit of {MAX_MAXIMAL_IDEALS}"
         )
     exponents: list[int] = []
     for e_j, entries in zip(rd.entries, system.per_valuation):

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -129,6 +130,24 @@ class TestKrullCommand:
         )
         assert code == 0
         assert "algebraically closed" in err
+
+    def test_unknown_family_lists_the_valid_codes(self, capsys):
+        code, out, err = run_cli(capsys, "krull", "--rees", "2,3", "--k", "1", "--family", "X")
+        assert code == 2
+        assert out == ""
+        assert err == "error: unknown system family 'X'; expected one of EXP2, S, T, U\n"
+
+    def test_huge_k_is_rejected_up_front(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "krull", "--rees", "2,3", "--k", "1000000000", "--family", "S"
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: realization has 5000000000 maximal ideals, above the limit of 100000\n"
+        )
 
     def test_root_family_non_uniform_warns(self, capsys):
         code, out, err = run_cli(
@@ -311,9 +330,7 @@ def test_json_flag_after_subcommand(capsys):
 
 
 def test_oracle_disagreement_exits_three(capsys, monkeypatch):
-    import reesval.cli as cli_module
-
-    monkeypatch.setattr(cli_module.puiseux, "oracle_extension", lambda model: (1, 1, 1))
+    monkeypatch.setattr("reesval.puiseux.oracle_extension", lambda model: (1, 1, 1))
     code, _, err = run_cli(capsys, "tower", "--e", "4", "--k", "6", "--oracle")
     assert code == 3
     assert "verification failure" in err

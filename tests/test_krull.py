@@ -13,6 +13,7 @@ from reesval.errors import (
 )
 from reesval.itoh import ReesData, SemilocalIdeal
 from reesval.krull import (
+    MAX_MAXIMAL_IDEALS,
     Component,
     ComponentPlan,
     ConsistentSystem,
@@ -188,6 +189,12 @@ class TestRealizePlan:
         assert plan.extension_degree == 1
         assert plan.maximal_ideal_count == 1
         assert plan.extended_ideal_exponents == SemilocalIdeal((1,))
+
+    def test_maximal_ideal_limit(self):
+        plan = realize_plan(build_split_system((1,), MAX_MAXIMAL_IDEALS), (1,))
+        assert plan.maximal_ideal_count == MAX_MAXIMAL_IDEALS
+        with pytest.raises(BadKError, match="above the limit"):
+            realize_plan(build_split_system((1,), MAX_MAXIMAL_IDEALS + 1), (1,))
 
     def test_family_invariants_sweep(self):
         for entries in rees_multisets(4, 8):
