@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from typing import Any, Sequence
@@ -136,7 +137,6 @@ def _ideal_echo(ideal) -> dict[str, Any]:
 
 def cmd_rees(args: argparse.Namespace) -> Report:
     from .monomial import rees_valuations
-    from .numcore import lcm_list
 
     ideal = _read_ideal(args.ideal_file)
     package = rees_valuations(ideal)
@@ -146,7 +146,7 @@ def cmd_rees(args: argparse.Namespace) -> Report:
             for v in package.valuations
         ],
         "rees_integers": list(package.rees_integers),
-        "lcm": lcm_list(package.rees_integers),
+        "lcm": math.lcm(*package.rees_integers),
     }
     return Report("rees", _ideal_echo(ideal), payload)
 

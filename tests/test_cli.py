@@ -188,6 +188,15 @@ class TestCo2Command:
         assert out == ""
         assert err == "error: target integer must be >= 1, got 0\n"
 
+    def test_realization_above_the_limit_is_refused(self, capsys):
+        # one Rees integer of 100 001 gives that many maximal ideals
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "co2", "--components", "100001", "--e", "100001")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert err == "error: realization has 100001 maximal ideals, above the limit of 100000\n"
+
     @pytest.mark.parametrize("components", ["2,0", "0;"])
     def test_zero_rees_integer_is_an_input_error(self, capsys, components):
         code, out, err = run_cli(capsys, "co2", "--components", components, "--e", "6")

@@ -308,6 +308,11 @@ class TestProjectiveFullnessCheck:
         for entries in rees_multisets(4, 8):
             assert projective_fullness_check(entries).ok
 
+    def test_rees_sum_above_the_limit_is_refused(self):
+        # the split system at k = 1 has sum(e_j) maximal ideals
+        with pytest.raises(BadKError, match="above the limit"):
+            projective_fullness_check((MAX_MAXIMAL_IDEALS // 2, MAX_MAXIMAL_IDEALS // 2 + 1))
+
 
 class TestAlgebraicallyClosedWarning:
     def test_inert_system_warns(self):

@@ -8,7 +8,7 @@ trees and commands share the machine's noisy phases; the report keeps
 the min and median of the rounds in milliseconds.
 
     python3 tools/cli_split.py --src parent=../parent/src --src change=src \\
-        --runs 21 --out BENCH_7.json
+        --out BENCH_7.json
 
 Standard library only; the commands and ideal files come from
 ``bench/workloads.py`` so they stay those of the benchmark.
@@ -34,6 +34,7 @@ sys.path.insert(0, str(ROOT / "bench"))
 import workloads  # noqa: E402  (bench/ is not a package)
 
 SEED = 7  # of the shuffled order, fixed so reruns visit the same order
+RUNS = 21  # rounds; each (tree, command) pair is timed once per round
 
 
 def commit_of(path: Path) -> str | None:
@@ -68,14 +69,14 @@ def wall_ms(argv: list[str], env: dict[str, str]) -> float:
     return elapsed
 
 
-def measure(sources: dict[str, Path], runs: int) -> dict:
+def measure(sources: dict[str, Path]) -> dict:
     rng = random.Random(SEED)
     with tempfile.TemporaryDirectory() as tmp:
         cmds = commands(workloads.cli_files(Path(tmp)))
         envs = {label: dict(os.environ, PYTHONPATH=str(src)) for label, src in sources.items()}
         samples = {label: {name: [] for name in cmds} for label in sources}
         pairs = [(label, name) for label in sources for name in cmds]
-        for _ in range(runs):
+        for _ in range(RUNS):
             rng.shuffle(pairs)
             for label, name in pairs:
                 samples[label][name].append(wall_ms(cmds[name], envs[label]))
@@ -95,11 +96,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", action="append", required=True, metavar="LABEL=PATH",
                         help="a source tree holding the reesval package; repeatable")
-    parser.add_argument("--runs", type=int, default=15, help="rounds (at least 15)")
     parser.add_argument("--out", help="write the JSON report here instead of stdout")
     args = parser.parse_args()
-    if args.runs < 15:
-        parser.error("--runs must be at least 15")
     sources = {}
     for item in args.src:
         label, sep, path = item.partition("=")
@@ -112,10 +110,10 @@ def main() -> int:
             "python": platform.python_version(),
             "platform": platform.platform(),
         },
-        "runs": args.runs,
+        "runs": RUNS,
         "seed": SEED,
         "unit": "ms of wall time per fresh process (min and median over the runs)",
-        "sides": measure(sources, args.runs),
+        "sides": measure(sources),
     }
     text = json.dumps(report, indent=2) + "\n"
     if args.out:
