@@ -23,10 +23,6 @@ from reesval.errors import (
 from reesval.puiseux import PuiseuxModel, oracle_extension
 
 
-def step(degree, ramification, residue_degree, no_splitting=True):
-    return ExtensionStep(degree, ramification, residue_degree, no_splitting=no_splitting)
-
-
 class TestLift:
     def test_itoh_tower_base_is_the_lift(self):
         # W lifts a Rees valuation ring with u-value e_j to the extended
@@ -127,17 +123,17 @@ class TestGeneralKExtension:
 
 class TestCompose:
     def test_unramified_then_ramified(self):
-        a = step(6, 1, 6)
-        b = step(2, 2, 1)
+        a = ExtensionStep(6, 1, 6)
+        b = ExtensionStep(2, 2, 1)
         assert compose(a, b).invariants == (12, 2, 6)
 
     def test_identity(self):
-        for s in [step(6, 3, 2), step(5, 1, 5)]:
-            assert compose(step(1, 1, 1), s).invariants == s.invariants
+        for s in [ExtensionStep(6, 3, 2), ExtensionStep(5, 1, 5)]:
+            assert compose(ExtensionStep(1, 1, 1), s).invariants == s.invariants
 
     def test_factorization_matches_gcd_calculus(self):
-        a = step(2, 1, 2)
-        b = step(3, 3, 1)
+        a = ExtensionStep(2, 1, 2)
+        b = ExtensionStep(3, 3, 1)
         assert compose(a, b).invariants == general_k_extension(4, 6).invariants
 
     @given(
@@ -179,9 +175,9 @@ class TestTowerComposite:
 
     def test_three_steps_multiply_and_and_flags(self):
         steps = (
-            step(2, 1, 2),
-            step(4, 1, 2, no_splitting=False),
-            step(3, 3, 1),
+            ExtensionStep(2, 1, 2),
+            ExtensionStep(4, 1, 2, no_splitting=False),
+            ExtensionStep(3, 3, 1),
         )
         total = Tower(DVRSpec(2), steps).composite()
         assert total.invariants == (24, 3, 4)
@@ -190,22 +186,22 @@ class TestTowerComposite:
 
 class TestCheckFundamental:
     def test_equality(self):
-        report = check_fundamental(step(6, 3, 2))
+        report = check_fundamental(ExtensionStep(6, 3, 2))
         assert report.ok and report.checks[0].equality
 
     def test_strict_inequality_with_flag_off(self):
-        report = check_fundamental(step(4, 1, 2, no_splitting=False))
+        report = check_fundamental(ExtensionStep(4, 1, 2, no_splitting=False))
         assert report.ok and not report.checks[0].equality
 
     def test_totally_ramified(self):
-        assert check_fundamental(step(3, 3, 1)).ok
+        assert check_fundamental(ExtensionStep(3, 3, 1)).ok
 
     def test_flag_inconsistency_detected(self):
-        report = check_fundamental(step(4, 1, 2, no_splitting=True))
+        report = check_fundamental(ExtensionStep(4, 1, 2, no_splitting=True))
         assert not report.ok
 
     def test_inequality_violation_detected(self):
-        report = check_fundamental(step(4, 3, 2))
+        report = check_fundamental(ExtensionStep(4, 3, 2))
         assert not report.checks[0].inequality_holds
 
 
