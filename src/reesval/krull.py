@@ -247,19 +247,20 @@ def realize_plan(system: ConsistentSystem, rees: ReesData | Sequence[int]) -> Re
         raise BadKError(
             f"realization has {count} maximal ideals, above the limit of {MAX_MAXIMAL_IDEALS}"
         )
-    exponents: list[int] = []
-    for e_j, entries in zip(rd.entries, system.per_valuation):
-        for entry in entries:
-            exponents.extend([e_j * entry.ramification] * entry.multiplicity)
-    first = exponents[0]
-    if any(x != first for x in exponents):
-        raise NonUniformError(
-            f"extended ideal exponents are not uniform: {tuple(exponents)}"
-        )
+    # one exponent per entry; each stands for multiplicity maximal ideals
+    per_entry = [
+        (e_j * entry.ramification, entry.multiplicity)
+        for e_j, entries in zip(rd.entries, system.per_valuation)
+        for entry in entries
+    ]
+    first = per_entry[0][0]
+    if any(x != first for x, _ in per_entry):
+        exponents = tuple(x for x, mult in per_entry for _ in range(mult))
+        raise NonUniformError(f"extended ideal exponents are not uniform: {exponents}")
     return RealizationReport(
         extension_degree=system.m,
-        maximal_ideal_count=len(exponents),
-        extended_ideal_exponents=SemilocalIdeal(tuple(exponents)),
+        maximal_ideal_count=count,
+        extended_ideal_exponents=SemilocalIdeal((first,) * count),
         jacobson_exponent=first,
     )
 

@@ -9,9 +9,10 @@ come from one exact double-description routine in every dimension but
 2, where a monotone chain over the staircase finds the same facets
 several times faster and is kept for that reason.  Integral closures
 of powers are cut out by those facet inequalities, and an independent
-membership oracle decides the same question as rational cone
-membership via exact Fourier-Motzkin elimination, touching no facet
-data at all.
+membership oracle decides the same question touching no facet data at
+all: it looks for a convex combination of at most d scaled generators
+below the point, deciding each subset by exact Fourier-Motzkin
+elimination in at most d - 1 variables.
 
 All geometry is exact: integers only.
 """
@@ -42,11 +43,6 @@ _VAR_NAMES = ("x", "y", "z")
 
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(x * y for x, y in zip(a, b))
-
-
-def _dominates(a: Vec, b: Vec) -> bool:
-    """a >= b componentwise."""
-    return all(x >= y for x, y in zip(a, b))
 
 
 def _earlier_divisors(vecs: Sequence[Vec]) -> Iterator[tuple[Vec, Vec | None]]:
@@ -359,13 +355,56 @@ def _fm_feasible(constraints: list[tuple[list[int], int]], nvars: int) -> bool:
     return all(rhs >= 0 for _, rhs in rows)
 
 
+def _combination_below(points: Sequence[Vec], m: Vec) -> bool:
+    """Whether some convex combination of the points is <= m, by :func:`_fm_feasible`.
+
+    The last weight is eliminated as 1 - sum of the others, which leaves
+    len(points) - 1 variables and the system
+      -lambda_i <= 0,  sum lambda_i <= 1,
+      sum lambda_i * (p_i - p_last)[j] <= m[j] - p_last[j].
+    """
+    *rest, last = points
+    r = len(rest)
+    cons = [([-1 if j == i else 0 for j in range(r)], 0) for i in range(r)]
+    cons.append(([1] * r, 1))
+    for j, (mj, lj) in enumerate(zip(m, last)):
+        cons.append(([p[j] - lj for p in rest], mj - lj))
+    return _fm_feasible(cons, r)
+
+
 def oracle_is_integral(ideal: MonomialIdeal, k: int, m: Sequence[int]) -> bool:
     """Decide membership of x^m in the closure of the k-th power, facet-free.
 
-    Equivalent formulation: m lies in the convex hull of the k-scaled
-    generators plus the orthant.  Decided as exact rational feasibility
-    of the convex-combination system, independently of
-    :func:`rees_valuations`.
+    Equivalent formulation: m lies in conv(kG) + orthant, G the
+    generators.  A point c of conv(kG) with c <= m is searched among the
+    convex combinations of at most d of the scaled generators, each
+    subset decided as exact rational feasibility by
+    :func:`_combination_below` in at most d - 1 variables, independently
+    of :func:`rees_valuations`.
+
+    At most d generators are needed (Caratheodory).  If m lies in the
+    polyhedron P, move it along -(1, ..., 1) to the last point p still
+    in P; p exists because P is closed and lies in the orthant.  Then p
+    is on the boundary, so in a face of dimension <= d - 1, and
+    Caratheodory's theorem in that face writes p as a convex combination
+    of at most d vertices plus a recession vector.  The vertices are
+    generators, and their combination c satisfies c <= p <= m.  One
+    generator is the dominance test kg <= m; subsets of 2..d run only
+    when it fails.
+
+    Two exact prunings keep the subsets few:
+
+    (a) A generator g with g > m in every coordinate is dropped.  If a
+        combination c <= m gives g the weight w, then w < 1 as g > m,
+        and since g > c, removing g and renormalising leaves
+        (c - w*g) / (1 - w) < (c - w*c) / (1 - w) = c <= m.
+    (b) A subset is skipped unless, for every coordinate j, some member
+        has g_j <= m_j: a convex combination is at least the least of
+        its members in each coordinate.
+
+    Each generator keeps the coordinates j with g_j <= m_j as a
+    bitmask: all of them is dominance, none is pruning (a), and a subset
+    passes (b) when the union of its members' masks is all of them.
     """
     if k < 1:
         raise NonPositivePowerError(f"power must be >= 1, got {k}")
@@ -376,23 +415,23 @@ def oracle_is_integral(ideal: MonomialIdeal, k: int, m: Sequence[int]) -> bool:
         )
     if any(e < 0 for e in m):
         raise DimensionMismatchError(f"negative exponent in {m}")
-    kgens = [tuple(k * e for e in g) for g in ideal.generators]
-    if any(_dominates(m, g) for g in kgens):
-        return True
-    n = len(kgens)
-    if n == 1:
-        return False
-    # lambda_n is eliminated as 1 - sum of the others; remaining system:
-    #   -lambda_i <= 0,  sum lambda_i <= 1,
-    #   sum lambda_i * (g_i - g_n)[j] <= m[j] - g_n[j]
-    last = kgens[-1]
-    cons: list[tuple[list[int], int]] = []
-    for i in range(n - 1):
-        cons.append(([-1 if j == i else 0 for j in range(n - 1)], 0))
-    cons.append(([1] * (n - 1), 1))
-    for j in range(ideal.dim):
-        cons.append(([kgens[i][j] - last[j] for i in range(n - 1)], m[j] - last[j]))
-    return _fm_feasible(cons, n - 1)
+    full = (1 << ideal.dim) - 1
+    pool = []
+    for g in ideal.generators:
+        kg = tuple(k * e for e in g)
+        cover = sum(1 << j for j, (x, y) in enumerate(zip(kg, m)) if x <= y)
+        if cover == full:
+            return True
+        if cover:  # pruning (a)
+            pool.append((kg, cover))
+    for size in range(2, ideal.dim + 1):
+        for subset in itertools.combinations(pool, size):
+            covered = 0
+            for _, cover in subset:
+                covered |= cover
+            if covered == full and _combination_below([kg for kg, _ in subset], m):
+                return True
+    return False
 
 
 def ideal_power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:

@@ -215,8 +215,23 @@ class TestRealizePlan:
                 assert inert.uniform_rees_integer == rd.lcm
 
     def test_non_uniform_rejected(self):
-        with pytest.raises(NonUniformError):
+        with pytest.raises(
+            NonUniformError, match=r"^extended ideal exponents are not uniform: \(4, 12\)$"
+        ):
             realize_plan(build_root_adjunction_system((2, 3), 4), (2, 3))
+
+    def test_non_uniform_message_lists_every_maximal_ideal(self):
+        # Rees data (1, 2), degree 4: two ideals of ramification 2 over the
+        # first valuation (exponent 1 * 2), one of ramification 4 over the
+        # second (exponent 2 * 4).
+        system = ConsistentSystem(
+            m=4,
+            per_valuation=((SystemEntry(1, 2, multiplicity=2),), (SystemEntry(1, 4),)),
+            family="manual",
+        )
+        with pytest.raises(NonUniformError) as info:
+            realize_plan(system, (1, 2))
+        assert str(info.value) == "extended ideal exponents are not uniform: (2, 2, 8)"
 
     def test_root_adjunction_at_common_multiple(self):
         plan = realize_plan(build_root_adjunction_system((2, 3), 6), (2, 3))

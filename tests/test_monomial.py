@@ -158,11 +158,11 @@ def sphere_ideal(n, seed):
 
 
 @st.composite
-def staircases(draw, max_gens):
-    """2D antichains of up to max_gens generators; small steps make
+def staircases(draw, max_gens, min_gens=1):
+    """2D antichains of min_gens to max_gens generators; small steps make
     collinear runs of generators common."""
     steps = st.tuples(st.integers(1, 3), st.integers(1, 3))
-    steps = draw(st.lists(steps, max_size=max_gens - 1))
+    steps = draw(st.lists(steps, min_size=min_gens - 1, max_size=max_gens - 1))
     x = draw(st.integers(0, 3))
     y = draw(st.integers(0 if x else 1, 3)) + sum(dy for _, dy in steps)
     gens = [(x, y)]
@@ -541,6 +541,64 @@ class TestOracle:
                         all(x >= y for x, y in zip(m, g)) for g in closure.generators
                     )
                     assert in_closure == oracle_is_integral(ideal, k, m)
+
+
+@st.composite
+def near_boundary(draw, ideal_strategy):
+    """An ideal, a power k and a point near the boundary of its closure:
+    a rounded-down convex combination of up to d of the k-scaled
+    generators, shifted by -2..1 in each coordinate."""
+    ideal = draw(ideal_strategy)
+    k = draw(st.integers(1, 3))
+    picks = draw(st.lists(st.sampled_from(ideal.generators), min_size=1, max_size=ideal.dim))
+    weights = draw(st.lists(st.integers(1, 6), min_size=len(picks), max_size=len(picks)))
+    shift = draw(st.tuples(*[st.integers(-2, 1)] * ideal.dim))
+    point = tuple(
+        max(0, k * sum(w * g[j] for w, g in zip(weights, picks)) // sum(weights) + s)
+        for j, s in enumerate(shift)
+    )
+    return ideal, k, point
+
+
+class TestOracleAtScale:
+    # Two queries the Fourier-Motzkin system over all n - 1 convex weights
+    # did not answer in 40 s: a 2D ideal with 12 generators at a non-member
+    # next to the boundary, and a 3D ideal with 8 generators at a member.
+    STAIRCASE_12 = ((0, 34), (1, 31), (2, 28), (3, 26), (4, 23), (5, 21),
+                    (12, 12), (15, 9), (17, 8), (22, 4), (26, 3), (29, 2))
+    SHELL_8 = ((1, 3, 6), (1, 4, 5), (1, 5, 3), (2, 5, 2),
+               (3, 2, 5), (4, 1, 4), (4, 4, 1), (6, 2, 2))
+
+    @pytest.mark.parametrize("gens, point, member", [
+        (STAIRCASE_12, (6, 19), False),
+        (SHELL_8, (3, 3, 3), True),
+    ])
+    def test_former_stuck_queries(self, gens, point, member):
+        ideal = minimalize(gens)
+        start = time.perf_counter()
+        assert oracle_is_integral(ideal, 1, point) is member
+        assert time.perf_counter() - start < 1.0
+
+    def test_three_generator_witness(self):
+        # (1, 1, 1) is the centroid of x^3, y^3, z^3; no generator lies
+        # below it and no convex combination of two does, since the third
+        # coordinate would need weight <= 1/3 on each of the other two.
+        ideal = minimalize({(3, 0, 0), (0, 3, 0), (0, 0, 3)})
+        assert oracle_is_integral(ideal, 1, (1, 1, 1))
+        assert not oracle_is_integral(ideal, 1, (1, 1, 0))
+
+    @settings(deadline=None)
+    @given(st.one_of(
+        near_boundary(st.integers(1, 30).flatmap(lambda n: staircases(n, min_gens=n))),
+        near_boundary(st.builds(sphere_ideal, st.integers(1, 15), st.integers(0, 1 << 16))),
+    ))
+    def test_matches_facet_closure(self, query):
+        ideal, k, m = query
+        in_closure = all(
+            sum(a * x for a, x in zip(v.normal, m)) >= k * v.rees_integer
+            for v in rees_valuations(ideal).valuations
+        )
+        assert oracle_is_integral(ideal, k, m) == in_closure
 
 
 class TestPowerStability:
