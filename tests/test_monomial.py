@@ -512,6 +512,23 @@ def test_facets_scale_to_many_generators():
     assert len(package.valuations) == 55
 
 
+@st.composite
+def near_boundary(draw, ideal_strategy):
+    """An ideal, a power k and a point near the boundary of its closure:
+    a rounded-down convex combination of up to d of the k-scaled
+    generators, shifted by -2..1 in each coordinate."""
+    ideal = draw(ideal_strategy)
+    k = draw(st.integers(1, 3))
+    picks = draw(st.lists(st.sampled_from(ideal.generators), min_size=1, max_size=ideal.dim))
+    weights = draw(st.lists(st.integers(1, 6), min_size=len(picks), max_size=len(picks)))
+    shift = draw(st.tuples(*[st.integers(-2, 1)] * ideal.dim))
+    point = tuple(
+        max(0, k * sum(w * g[j] for w, g in zip(weights, picks)) // sum(weights) + s)
+        for j, s in enumerate(shift)
+    )
+    return ideal, k, point
+
+
 class TestOracle:
     def test_examples(self):
         assert oracle_is_integral(minimalize({(2, 0), (0, 2)}), 1, (1, 1))
@@ -542,25 +559,6 @@ class TestOracle:
                     )
                     assert in_closure == oracle_is_integral(ideal, k, m)
 
-
-@st.composite
-def near_boundary(draw, ideal_strategy):
-    """An ideal, a power k and a point near the boundary of its closure:
-    a rounded-down convex combination of up to d of the k-scaled
-    generators, shifted by -2..1 in each coordinate."""
-    ideal = draw(ideal_strategy)
-    k = draw(st.integers(1, 3))
-    picks = draw(st.lists(st.sampled_from(ideal.generators), min_size=1, max_size=ideal.dim))
-    weights = draw(st.lists(st.integers(1, 6), min_size=len(picks), max_size=len(picks)))
-    shift = draw(st.tuples(*[st.integers(-2, 1)] * ideal.dim))
-    point = tuple(
-        max(0, k * sum(w * g[j] for w, g in zip(weights, picks)) // sum(weights) + s)
-        for j, s in enumerate(shift)
-    )
-    return ideal, k, point
-
-
-class TestOracleAtScale:
     # Two queries the Fourier-Motzkin system over all n - 1 convex weights
     # did not answer in 40 s: a 2D ideal with 12 generators at a non-member
     # next to the boundary, and a 3D ideal with 8 generators at a member.
@@ -580,9 +578,9 @@ class TestOracleAtScale:
         assert time.perf_counter() - start < 1.0
 
     def test_three_generator_witness(self):
-        # (1, 1, 1) is the centroid of x^3, y^3, z^3; no generator lies
-        # below it and no convex combination of two does, since the third
-        # coordinate would need weight <= 1/3 on each of the other two.
+        # (1, 1, 1) is the centroid of x^3, y^3, z^3.  No generator lies
+        # below it, nor any combination of two: each of the two weights
+        # must be <= 1/3 to keep its coordinate <= 1, so they cannot sum to 1.
         ideal = minimalize({(3, 0, 0), (0, 3, 0), (0, 0, 3)})
         assert oracle_is_integral(ideal, 1, (1, 1, 1))
         assert not oracle_is_integral(ideal, 1, (1, 1, 0))
