@@ -120,7 +120,7 @@ def _read_ideal(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     return parse_ideal(text)
 
@@ -274,7 +274,7 @@ def cmd_krull(args: argparse.Namespace) -> Report:
         payload["realization"] = {
             "extension_degree": plan.extension_degree,
             "maximal_ideal_count": plan.maximal_ideal_count,
-            "extended_ideal_exponents": list(plan.extended_ideal_exponents.exponents),
+            "extended_ideal_exponents": [plan.jacobson_exponent] * plan.maximal_ideal_count,
             "jacobson_exponent": plan.jacobson_exponent,
             "uniform_rees_integer": plan.uniform_rees_integer,
         }

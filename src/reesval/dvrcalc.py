@@ -3,12 +3,12 @@
 A DVR enters only through numeric invariants: the value of the
 distinguished element u (uniformizer exponent), and the number of
 transcendental generators adjoined to its residue field.  An extension
-of DVRs is a record of (degree, ramification index, residue degree)
-with a no-splitting flag; towers multiply these componentwise.  The
-two building blocks are the unramified extension generated by a root
-of X^e - w for a residue-transcendental unit w (degree e, residue
-degree e) and the totally ramified extension by a root of the
-uniformizer (degree f, ramification f).
+of DVRs is a record of (degree, ramification index, residue degree);
+towers multiply these componentwise.  The two building blocks are the
+unramified extension generated by a root of X^e - w for a
+residue-transcendental unit w (degree e, residue degree e) and the
+totally ramified extension by a root of the uniformizer (degree f,
+ramification f).
 """
 
 from __future__ import annotations
@@ -44,18 +44,11 @@ class DVRSpec:
 
 @dataclass(frozen=True)
 class ExtensionStep:
-    """One extension of DVRs with its three invariants.
-
-    The no-splitting flag asserts that the top ring is the unique
-    extension of the bottom one and that ramification times residue
-    degree equals the degree; it is set by the constructing operation
-    and validated by :func:`check_fundamental`.
-    """
+    """One extension of DVRs with its three invariants."""
 
     degree: int
     ramification: int
     residue_degree: int
-    no_splitting: bool = True
 
     def __post_init__(self):
         for name in ("degree", "ramification", "residue_degree"):
@@ -139,56 +132,31 @@ def compose(t1: ExtensionStep, t2: ExtensionStep) -> ExtensionStep:
         degree=t1.degree * t2.degree,
         ramification=t1.ramification * t2.ramification,
         residue_degree=t1.residue_degree * t2.residue_degree,
-        no_splitting=t1.no_splitting and t2.no_splitting,
     )
 
 
 @dataclass(frozen=True)
-class StepCheck:
-    """Fundamental-inequality verdict for one extension step."""
-
-    step: ExtensionStep
-    product: int
-    inequality_holds: bool
-    equality: bool
-    flag_consistent: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.inequality_holds and self.flag_consistent
-
-
-@dataclass(frozen=True)
 class FundamentalReport:
-    checks: tuple[StepCheck, ...]
+    """One Fundamental Equality verdict per checked step."""
+
+    checks: tuple[bool, ...]
 
     @property
     def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
+        return all(self.checks)
 
 
 def check_fundamental(steps: ExtensionStep | Tower) -> FundamentalReport:
-    """Check ramification * residue degree <= degree for each step.
+    """Check ramification * residue degree == degree for each step.
 
-    A tower is checked step by step and then as its composite.  For a
-    single-extension record, equality must hold exactly when the
-    no-splitting flag is set.
+    A tower is checked step by step and then as its composite.  The
+    root extensions of this module have no splitting, so the
+    Fundamental Equality must hold for each of them.
     """
     if isinstance(steps, ExtensionStep):
         seq: tuple[ExtensionStep, ...] = (steps,)
     else:
         seq = steps.steps + (steps.composite(),)
-    checks = []
-    for step in seq:
-        product = step.ramification * step.residue_degree
-        equality = product == step.degree
-        checks.append(
-            StepCheck(
-                step=step,
-                product=product,
-                inequality_holds=product <= step.degree,
-                equality=equality,
-                flag_consistent=equality == step.no_splitting,
-            )
-        )
-    return FundamentalReport(tuple(checks))
+    return FundamentalReport(
+        tuple(s.ramification * s.residue_degree == s.degree for s in seq)
+    )

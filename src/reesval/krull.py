@@ -48,8 +48,9 @@ FAMILY_INERT = "T"
 FAMILY_RAMIFIED = "U"
 FAMILY_ROOT = "EXP2"
 
-# realize_plan lists one exponent per maximal ideal, so it refuses
-# systems with more than this many
+# the krull subcommand prints one exponent per maximal ideal and
+# projective_fullness_check builds a vector of that length, so
+# realize_plan refuses systems with more maximal ideals than this
 MAX_MAXIMAL_IDEALS = 100_000
 
 
@@ -206,26 +207,16 @@ def realizability_gate(
 class RealizationReport:
     """Numeric consequences of realizing a consistent system.
 
-    ``extended_ideal_exponents`` lists, per realized maximal ideal, the
-    exponent of the extended base ideal; all agree, so the extended
-    ideal is the ``jacobson_exponent``-th power of the Jacobson radical.
+    The extended base ideal has the same exponent at each of the
+    ``maximal_ideal_count`` realized maximal ideals, so it is the
+    ``jacobson_exponent``-th power of the Jacobson radical.
     """
 
     extension_degree: int
     maximal_ideal_count: int
-    extended_ideal_exponents: SemilocalIdeal
     jacobson_exponent: int
     residue_degrees: tuple[int, ...] | None = None
     simple_extension: bool | None = None
-
-    def __post_init__(self):
-        exps = self.extended_ideal_exponents.exponents
-        if len(exps) != self.maximal_ideal_count:
-            raise NonUniformError("exponent vector length differs from ideal count")
-        if exps != (self.jacobson_exponent,) * self.maximal_ideal_count:
-            raise NonUniformError(
-                "uniform report requires the extended ideal to be a power of the Jacobson radical"
-            )
 
     @property
     def uniform_rees_integer(self) -> int:
@@ -260,7 +251,6 @@ def realize_plan(system: ConsistentSystem, rees: ReesData | Sequence[int]) -> Re
     return RealizationReport(
         extension_degree=system.m,
         maximal_ideal_count=count,
-        extended_ideal_exponents=SemilocalIdeal((first,) * count),
         jacobson_exponent=first,
     )
 
@@ -282,11 +272,9 @@ def common_multiple_realization(rees: ReesData | Sequence[int], e: int) -> Reali
         raise NotCommonMultipleError(
             f"{e} is not a common multiple of the Rees integers {rd.entries}"
         )
-    n = len(rd)
     return RealizationReport(
         extension_degree=e,
-        maximal_ideal_count=n,
-        extended_ideal_exponents=SemilocalIdeal((e,) * n),
+        maximal_ideal_count=len(rd),
         jacobson_exponent=e,
         residue_degrees=rd.entries,
         simple_extension=all(ej == e for ej in rd.entries),
@@ -414,15 +402,15 @@ def projective_fullness_check(rees: ReesData | Sequence[int]) -> FullnessReport:
     """Realize family S with k = 1 and verify the three radical-ideal claims."""
     rd = rees_data(rees)
     report = realize_plan(build_split_system(rd, 1), rd)
-    radical = jacobson_radical(report.maximal_ideal_count)
+    count = report.maximal_ideal_count
+    radical = jacobson_radical(count)
+    extended = SemilocalIdeal((report.jacobson_exponent,) * count)
     return FullnessReport(
         realization=report,
         jacobson=radical,
         is_radical=semilocal_radical(radical) == radical,
         projectively_full=is_projectively_full(radical),
-        equivalent_to_extension=is_projectively_equivalent(
-            radical, report.extended_ideal_exponents
-        ),
+        equivalent_to_extension=is_projectively_equivalent(radical, extended),
     )
 
 

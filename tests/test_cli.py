@@ -2,10 +2,13 @@ import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from reesval.cli import main
+
+GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden" / "cli_text.json"
 
 IDEAL_X2_Y3 = "dim 2\n2 0\n0 3\n"
 IDEAL_X2_Y2 = "dim 2\n2 0\n0 2\n"
@@ -54,6 +57,14 @@ class TestReesCommand:
         code, _, err = run_cli(capsys, "rees", "/nonexistent/ideal.txt")
         assert code == 2
         assert "error" in err
+
+    def test_non_utf8_file(self, capsys, tmp_path):
+        path = tmp_path / "ideal.txt"
+        path.write_bytes(b"dim 2\n2 0\n0 \xff3\n")
+        code, out, err = run_cli(capsys, "rees", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot read {path}: ")
 
 
 class TestItohCommand:
@@ -330,6 +341,17 @@ class TestJsonOutput:
         _, first, _ = run_cli(capsys, "--json", "itoh", "--rees", "2,3", "--k", "6")
         _, second, _ = run_cli(capsys, "--json", "itoh", "--rees", "2,3", "--k", "6")
         assert first == second
+
+
+def test_text_matches_the_golden_file(capsys, ideal_file):
+    # the benchmark's golden text, keyed by command with {a} and {b}
+    # standing for the two ideal files
+    files = {"a": ideal_file(IDEAL_X2_Y3, "a.txt"), "b": ideal_file(IDEAL_X2_Y2, "b.txt")}
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert len(golden) == 7
+    for command, expected in golden.items():
+        argv = [part.format(**files) for part in command.split(" ")]
+        assert run_cli(capsys, *argv) == (0, expected, "")
 
 
 def test_json_flag_after_subcommand(capsys):

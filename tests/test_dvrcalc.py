@@ -20,7 +20,6 @@ from reesval.errors import (
     NoTranscendentalError,
     NotMultipleError,
 )
-from reesval.puiseux import PuiseuxModel, oracle_extension
 
 
 class TestLift:
@@ -171,47 +170,25 @@ class TestTowerComposite:
     def test_empty_tower_is_identity(self):
         total = Tower(DVRSpec(3), ()).composite()
         assert total.invariants == (1, 1, 1)
-        assert total.no_splitting
-
-    def test_three_steps_multiply_and_and_flags(self):
-        steps = (
-            ExtensionStep(2, 1, 2),
-            ExtensionStep(4, 1, 2, no_splitting=False),
-            ExtensionStep(3, 3, 1),
-        )
-        total = Tower(DVRSpec(2), steps).composite()
-        assert total.invariants == (24, 3, 4)
-        assert not total.no_splitting
 
 
 class TestCheckFundamental:
     def test_equality(self):
         report = check_fundamental(ExtensionStep(6, 3, 2))
-        assert report.ok and report.checks[0].equality
-
-    def test_strict_inequality_with_flag_off(self):
-        report = check_fundamental(ExtensionStep(4, 1, 2, no_splitting=False))
-        assert report.ok and not report.checks[0].equality
+        assert report.ok and report.checks == (True,)
 
     def test_totally_ramified(self):
         assert check_fundamental(ExtensionStep(3, 3, 1)).ok
 
-    def test_flag_inconsistency_detected(self):
-        report = check_fundamental(ExtensionStep(4, 1, 2, no_splitting=True))
-        assert not report.ok
-
     def test_inequality_violation_detected(self):
         report = check_fundamental(ExtensionStep(4, 3, 2))
-        assert not report.checks[0].inequality_holds
+        assert not report.ok and report.checks == (False,)
 
-
-def test_agrees_with_value_group_oracle():
-    for e in range(1, 41):
-        for k in range(1, 41):
-            calculus = general_k_extension(e, k)
-            ram, res, deg = oracle_extension(PuiseuxModel(e, k))
-            assert (calculus.ramification, calculus.residue_degree, calculus.degree) == (
-                ram,
-                res,
-                deg,
-            )
+    def test_failing_step_fails(self):
+        # a split extension: ramification * residue degree < degree
+        assert check_fundamental(ExtensionStep(4, 1, 2)).checks == (False,)
+        tower = Tower(DVRSpec(2), (ExtensionStep(2, 1, 2), ExtensionStep(4, 3, 2)))
+        assert tower.composite().invariants == (8, 3, 4)
+        report = check_fundamental(tower)
+        assert report.checks == (True, False, False)
+        assert not report.ok

@@ -174,7 +174,6 @@ class TestRealizePlan:
         plan = realize_plan(build_split_system((2, 3), 1), (2, 3))
         assert plan.extension_degree == 6
         assert plan.maximal_ideal_count == 5
-        assert plan.extended_ideal_exponents == SemilocalIdeal((6,) * 5)
         assert plan.jacobson_exponent == 6
         assert plan.uniform_rees_integer == 6
 
@@ -188,7 +187,7 @@ class TestRealizePlan:
         plan = realize_plan(build_split_system((1,), 1), (1,))
         assert plan.extension_degree == 1
         assert plan.maximal_ideal_count == 1
-        assert plan.extended_ideal_exponents == SemilocalIdeal((1,))
+        assert plan.jacobson_exponent == 1
 
     def test_maximal_ideal_limit(self):
         plan = realize_plan(build_split_system((1,), MAX_MAXIMAL_IDEALS), (1,))
@@ -304,13 +303,15 @@ class TestProjectiveFullnessCheck:
     def test_two_three(self):
         report = projective_fullness_check((2, 3))
         assert report.jacobson == SemilocalIdeal((1,) * 5)
-        assert report.realization.extended_ideal_exponents == SemilocalIdeal((6,) * 5)
+        assert report.realization.maximal_ideal_count == 5
+        assert report.realization.jacobson_exponent == 6
         assert report.ok
 
     def test_trivial(self):
         report = projective_fullness_check((1,))
         assert report.jacobson == SemilocalIdeal((1,))
-        assert report.realization.extended_ideal_exponents == SemilocalIdeal((1,))
+        assert report.realization.maximal_ideal_count == 1
+        assert report.realization.jacobson_exponent == 1
         assert report.ok
 
     def test_four_six(self):
