@@ -174,17 +174,18 @@ def radicality_equivalence(rees: ReesData | Sequence[int], k: int) -> Equivalenc
     report = itoh_structure(rd, k)
     via_tower = report.is_radical
 
-    vec = SemilocalIdeal(report.u_exponents)
-    via_exponent_vector = semilocal_radical(vec) == vec
+    # the radical clamps each positive exponent to one, so a vector is
+    # fixed by it exactly when no exponent exceeds one
+    via_exponent_vector = all(h <= 1 for h in report.u_exponents)
 
     oracle_exponents = []
     for e in rd.entries:
         c = oracle_ramification(PuiseuxModel(e, k))
-        if (e * c) % k != 0:
+        h, rest = divmod(e * c, k)
+        if rest:
             raise EquivalenceViolation(f"non-integral exponent for e={e}, k={k}")
-        oracle_exponents.append(e * c // k)
-    oracle_vec = SemilocalIdeal(tuple(oracle_exponents))
-    via_unextended = semilocal_radical(oracle_vec) == oracle_vec
+        oracle_exponents.append(h)
+    via_unextended = all(h <= 1 for h in oracle_exponents)
 
     via_divisibility = all(k % e == 0 for e in rd.entries)
 

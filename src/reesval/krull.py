@@ -48,8 +48,7 @@ FAMILY_INERT = "T"
 FAMILY_RAMIFIED = "U"
 FAMILY_ROOT = "EXP2"
 
-# the krull subcommand prints one exponent per maximal ideal and
-# projective_fullness_check builds a vector of that length, so
+# the krull subcommand prints one exponent per maximal ideal, so
 # realize_plan refuses systems with more maximal ideals than this
 MAX_MAXIMAL_IDEALS = 100_000
 
@@ -388,7 +387,6 @@ class FullnessReport:
     """
 
     realization: RealizationReport
-    jacobson: SemilocalIdeal
     is_radical: bool
     projectively_full: bool
     equivalent_to_extension: bool
@@ -399,15 +397,20 @@ class FullnessReport:
 
 
 def projective_fullness_check(rees: ReesData | Sequence[int]) -> FullnessReport:
-    """Realize family S with k = 1 and verify the three radical-ideal claims."""
+    """Realize family S with k = 1 and verify the three radical-ideal claims.
+
+    Radicality, projective fullness and projective equivalence do not
+    change when a coordinate is repeated, so each is decided on one
+    coordinate per system entry, not one per maximal ideal.
+    """
     rd = rees_data(rees)
-    report = realize_plan(build_split_system(rd, 1), rd)
-    count = report.maximal_ideal_count
-    radical = jacobson_radical(count)
-    extended = SemilocalIdeal((report.jacobson_exponent,) * count)
+    system = build_split_system(rd, 1)
+    report = realize_plan(system, rd)
+    entries = sum(len(row) for row in system.per_valuation)
+    radical = jacobson_radical(entries)
+    extended = SemilocalIdeal((report.jacobson_exponent,) * entries)
     return FullnessReport(
         realization=report,
-        jacobson=radical,
         is_radical=semilocal_radical(radical) == radical,
         projectively_full=is_projectively_full(radical),
         equivalent_to_extension=is_projectively_equivalent(radical, extended),

@@ -2,19 +2,25 @@
 
 For a DVR in which the distinguished element u has value e, adjoining a
 k-th root of u produces one extension whose invariants the gcd calculus
-in :mod:`reesval.dvrcalc` predicts in closed form.  This module reaches
-the same two numbers by a deliberately different route:
+in :mod:`reesval.dvrcalc` predicts in closed form, by calling
+``math.gcd(e, k)`` and dividing.  This module reaches the same two
+numbers by two other routes, each polynomial in the bit length of e
+and k:
 
-* ramification is the index of the old value group inside the group
-  generated by 1 and e/k, computed by :func:`subgroup_generated` from
-  the numerators and denominators of the generators;
+* ramification is the index of Z in the value group Z + (e/k)Z.
+  Scaled by k that group is kZ + eZ, and :func:`subgroup_generated`
+  reduces it to one generator g, the gcd of the numerators over the
+  lcm of the denominators; the index is k/g;
 * the residue degree is the order d of the smallest value-zero monomial
   in u^(1/k) and the uniformizer, whose residue tau satisfies
   tau^d = w for the unit w = v/s of s-valuation -1 over the rational
-  function residue field kappa(s); the degree of X^d - w is certified
-  by a Newton-polygon slope criterion.
+  function residue field kappa(s).  That order is read off the
+  continued-fraction convergents of e/k, built with ``divmod`` alone
+  and checked by multiplication, so this route calls neither
+  ``math.gcd`` nor ``Fraction`` on (e, k).  The degree of X^d - w is
+  certified by a Newton-polygon slope criterion.
 
-Neither path evaluates gcd(e, k) or k/gcd(e, k) directly.
+:func:`oracle_extension` compares the two with the Fundamental Equality.
 """
 
 from __future__ import annotations
@@ -47,30 +53,34 @@ def subgroup_generated(xs: Iterable[Fraction | int]) -> Fraction:
     """Generator of the subgroup of Q spanned by finitely many nonnegative rationals.
 
     Such a subgroup is cyclic, g*Z for a unique nonnegative rational g.
-    After reducing each entry, g is gcd(numerators) over
+    Each entry, an int or a reduced Fraction, is read as its integer
+    (numerator, denominator) pair, and g is gcd(numerators) over
     lcm(denominators); the empty list gives g = 0, the trivial group.
+    Only the result is built as a Fraction.
     """
-    fracs = [Fraction(x) for x in xs]
-    for f in fracs:
-        if f < 0:
-            raise NonPositiveError(f"subgroup entries must be nonnegative, got {f}")
     num = 0
     den = 1
-    for f in fracs:
-        num = math.gcd(num, f.numerator)
-        den = math.lcm(den, f.denominator)
+    for x in xs:
+        if x < 0:
+            raise NonPositiveError(f"subgroup entries must be nonnegative, got {x}")
+        num = math.gcd(num, x.numerator)
+        den = math.lcm(den, x.denominator)
     return Fraction(num, den)
 
 
 def oracle_ramification(model: PuiseuxModel) -> int:
-    """Index of Z inside the value group extended by the value e/k of u^(1/k)."""
-    generator = subgroup_generated([Fraction(1), Fraction(model.e, model.k)])
-    index = 1 / generator
-    if index.denominator != 1:
+    """Index of Z inside the value group extended by the value e/k of u^(1/k).
+
+    The group Z + (e/k)Z is computed scaled by k, as the subgroup of Z
+    spanned by k and e, so every entry is an integer.
+    """
+    generator = subgroup_generated((model.k, model.e))
+    index, rest = divmod(model.k, generator.numerator)
+    if rest:
         raise FundamentalEqualityViolation(
-            f"extended value group {generator} does not contain Z"
+            f"extended value group {generator / model.k} does not contain Z"
         )
-    return int(index)
+    return index
 
 
 def newton_polygon_irreducible(degree: int, constant_valuation: Fraction | int) -> bool:
@@ -97,10 +107,27 @@ def oracle_residue_degree(model: PuiseuxModel) -> int:
     the unit w with residue w = v/s.  The residue extension is generated
     by a root of X^d - w with d = k/a, irreducible by the Newton
     polygon since v(w) = -1.
+
+    The least a comes from the continued fraction of e/k.  Its last
+    convergent p/q equals e/k, and with the previous convergent p'/q'
+    the determinant p*q' - p'*q is +-1, so p/q is in lowest terms and q
+    is the least a.  Both identities are checked by multiplication, and
+    the expansion takes O(log k) divisions.
     """
     e, k = model.e, model.k
-    a = next(a for a in range(1, k + 1) if (a * e) % k == 0)
-    d = k // a
+    # convergents p/q and p'/q', seeded with 1/0 and 0/1
+    p, q, p_prev, q_prev = 1, 0, 0, 1
+    x, y = e, k
+    while y:
+        quotient, rest = divmod(x, y)
+        p, p_prev = quotient * p + p_prev, p
+        q, q_prev = quotient * q + q_prev, q
+        x, y = y, rest
+    if p * k != e * q or abs(p * q_prev - p_prev * q) != 1:
+        raise FundamentalEqualityViolation(
+            f"last convergent {p}/{q} is not e/k = {e}/{k} in lowest terms"
+        )
+    d = k // q
     if not newton_polygon_irreducible(d, -1):
         raise FundamentalEqualityViolation(
             f"X^{d} - w unexpectedly fails the irreducibility certificate"

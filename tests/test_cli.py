@@ -102,6 +102,14 @@ class TestTowerCommand:
         assert code == 0
         assert "agreement: yes" in out
 
+    def test_oracle_at_large_k(self, capsys):
+        # k = 10^12: the oracle's residue degree takes O(log k) steps
+        code, out, _ = run_cli(
+            capsys, "tower", "--e", "1", "--k", "1000000000000", "--oracle", "--json"
+        )
+        assert code == 0
+        assert json.loads(out)["payload"]["agreement"] is True
+
     def test_rejects_zero(self, capsys):
         for e, k in (("0", "2"), ("3", "0")):
             code, out, err = run_cli(capsys, "tower", "--e", e, "--k", k, "--oracle")

@@ -1,4 +1,6 @@
 import math
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -6,6 +8,7 @@ import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
+from reesval.dvrcalc import general_k_extension
 from reesval.errors import NonIntegralSetupError, NonPositiveError
 from reesval.puiseux import (
     PuiseuxModel,
@@ -48,6 +51,36 @@ class TestResidueDegree:
     @pytest.mark.parametrize("e,k,expected", [(4, 6, 2), (3, 3, 3), (2, 3, 1)])
     def test_examples(self, e, k, expected):
         assert oracle_residue_degree(PuiseuxModel(e, k)) == expected
+
+
+def linear_residue_degree(e: int, k: int) -> int:
+    """Reference: k over the least a >= 1 with k | a*e, found by trying every a."""
+    return k // next(a for a in range(1, k + 1) if (a * e) % k == 0)
+
+
+@given(st.integers(1, 2000), st.integers(1, 2000))
+def test_residue_degree_matches_linear_search(e, k):
+    assert oracle_residue_degree(PuiseuxModel(e, k)) == linear_residue_degree(e, k)
+
+
+# e up to 10^12 against a Mersenne prime k and k = 2^12 * 5^12: gcd 1,
+# powers of 2 or 5 alone, and e = k
+LARGE_E = [1, 2, 3, 2**39, 5**17, 999_999_999_989, 10**12 - 1, 10**12] + [
+    random.Random(11).randint(1, 10**12) for _ in range(200)
+]
+
+
+@pytest.mark.parametrize("k", [2**61 - 1, 10**12])
+def test_large_bit_length_agrees_with_gcd_calculus(k):
+    start = time.perf_counter()
+    for e in LARGE_E:
+        step = general_k_extension(e, k)
+        assert oracle_extension(PuiseuxModel(e, k)) == (
+            step.ramification,
+            step.residue_degree,
+            step.degree,
+        )
+    assert time.perf_counter() - start < 1.0
 
 
 class TestNewtonPolygon:
