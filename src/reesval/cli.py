@@ -10,11 +10,9 @@ failure.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
-from dataclasses import dataclass, field
-from typing import Any, Sequence
+from collections.abc import Sequence
 
 # Each command imports the modules it uses, so a process pays only for
 # its own command.
@@ -25,20 +23,18 @@ from .errors import (
     OracleDisagreement,
     VerificationError,
 )
+from .record import Record
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_VERIFICATION = 3
 
 
-@dataclass
-class Report:
-    command: str
-    input_echo: dict[str, Any]
-    payload: dict[str, Any]
-    warnings: list[str] = field(default_factory=list)
+class Report(Record):
+    __slots__ = ("command", "input_echo", "payload", "warnings")
+    _defaults = {"warnings": ()}
 
-    def to_dict(self) -> dict[str, Any]:
+    def to_dict(self) -> dict[str, object]:
         return {
             "command": self.command,
             "input": self.input_echo,
@@ -48,10 +44,12 @@ class Report:
 
 
 def render_json(report: Report) -> str:
+    import json  # only --json output needs it
+
     return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
-def _is_plain(value: Any) -> bool:
+def _is_plain(value: object) -> bool:
     """Plain values render inline; dicts and lists of dicts get blocks."""
     if isinstance(value, dict):
         return False
@@ -60,7 +58,7 @@ def _is_plain(value: Any) -> bool:
     return True
 
 
-def _scalar(value: Any) -> str:
+def _scalar(value: object) -> str:
     if isinstance(value, bool):
         return "yes" if value else "no"
     if isinstance(value, (list, tuple)):
@@ -70,7 +68,7 @@ def _scalar(value: Any) -> str:
     return str(value)
 
 
-def _text_lines(value: Any, indent: int = 0) -> list[str]:
+def _text_lines(value: object, indent: int = 0) -> list[str]:
     pad = "  " * indent
     lines: list[str] = []
     if isinstance(value, dict):
@@ -125,7 +123,7 @@ def _read_ideal(path: str):
     return parse_ideal(text)
 
 
-def _ideal_echo(ideal) -> dict[str, Any]:
+def _ideal_echo(ideal) -> dict[str, object]:
     from .monomial import monomial_str
 
     return {
@@ -194,7 +192,7 @@ def cmd_tower(args: argparse.Namespace) -> Report:
 
     step = general_k_extension(args.e, args.k)
     check = check_fundamental(step)
-    payload: dict[str, Any] = {
+    payload: dict[str, object] = {
         "degree": step.degree,
         "ramification": step.ramification,
         "residue_degree": step.residue_degree,
@@ -219,7 +217,7 @@ def cmd_tower(args: argparse.Namespace) -> Report:
     return Report("tower", echo, payload)
 
 
-def _system_payload(system) -> dict[str, Any]:
+def _system_payload(system) -> dict[str, object]:
     """The payload block of a ``krull.ConsistentSystem``."""
     return {
         "m": system.m,
@@ -257,7 +255,7 @@ def cmd_krull(args: argparse.Namespace) -> Report:
         caveat = krull.algebraically_closed_warning(system)
         if caveat:
             warnings.append(caveat)
-    payload: dict[str, Any] = {
+    payload: dict[str, object] = {
         "system": _system_payload(system),
         "consistent": krull.is_consistent(system),
         "decision": str(decision),

@@ -15,25 +15,24 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 from .errors import (
     NonPositiveError,
     NoTranscendentalError,
     NotMultipleError,
 )
+from .record import Record
 
 
-@dataclass(frozen=True)
-class DVRSpec:
+class DVRSpec(Record):
     """A DVR with u-value e (u generates the e-th power of the maximal ideal).
 
     ``transcendentals`` counts the transcendental generators (such as
     the residue of t*b) adjoined to its residue field.
     """
 
-    uniformizer_exponent: int
-    transcendentals: int = 0
+    __slots__ = ("uniformizer_exponent", "transcendentals")
+    _defaults = {"transcendentals": 0}
 
     def __post_init__(self):
         if self.uniformizer_exponent < 1:
@@ -42,13 +41,10 @@ class DVRSpec:
             raise NonPositiveError("transcendental count must be >= 0")
 
 
-@dataclass(frozen=True)
-class ExtensionStep:
+class ExtensionStep(Record):
     """One extension of DVRs with its three invariants."""
 
-    degree: int
-    ramification: int
-    residue_degree: int
+    __slots__ = ("degree", "ramification", "residue_degree")
 
     def __post_init__(self):
         for name in ("degree", "ramification", "residue_degree"):
@@ -61,12 +57,10 @@ class ExtensionStep:
         return (self.degree, self.ramification, self.residue_degree)
 
 
-@dataclass(frozen=True)
-class Tower:
+class Tower(Record):
     """A chain of extension steps over a base DVR, bottom step first."""
 
-    base: DVRSpec
-    steps: tuple[ExtensionStep, ...]
+    __slots__ = ("base", "steps")
 
     def composite(self) -> ExtensionStep:
         """Componentwise product of all steps."""
@@ -135,11 +129,10 @@ def compose(t1: ExtensionStep, t2: ExtensionStep) -> ExtensionStep:
     )
 
 
-@dataclass(frozen=True)
-class FundamentalReport:
+class FundamentalReport(Record):
     """One Fundamental Equality verdict per checked step."""
 
-    checks: tuple[bool, ...]
+    __slots__ = ("checks",)
 
     @property
     def ok(self) -> bool:

@@ -12,8 +12,7 @@ ideals are all decided by exponent arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import (
     BadKError,
@@ -23,13 +22,13 @@ from .errors import (
     UnitIdealError,
 )
 from .dvrcalc import general_k_extension
+from .record import Record
 
 
-@dataclass(frozen=True)
-class ReesData:
+class ReesData(Record):
     """The multiset of Rees integers of an ideal, in a fixed order."""
 
-    entries: tuple[int, ...]
+    __slots__ = ("entries",)
 
     def __post_init__(self):
         entries = tuple(int(e) for e in self.entries)
@@ -51,8 +50,7 @@ def rees_data(entries: Iterable[int] | ReesData) -> ReesData:
     return entries if isinstance(entries, ReesData) else ReesData(tuple(entries))
 
 
-@dataclass(frozen=True)
-class ItohValuationRecord:
+class ItohValuationRecord(Record):
     """Tower invariants at one valuation for a fixed root order k.
 
     d = gcd(e, k) is the residue degree, c = k/d the ramification,
@@ -60,33 +58,25 @@ class ItohValuationRecord:
     extended principal ideal at this valuation); the tower degree is k.
     """
 
-    rees_integer: int
-    residue_degree: int
-    ramification: int
-    u_exponent: int
+    __slots__ = ("rees_integer", "residue_degree", "ramification", "u_exponent")
 
 
-@dataclass(frozen=True)
-class ItohReport:
-    k: int
-    per_valuation: tuple[ItohValuationRecord, ...]
-    is_radical: bool
-    least_radical_k: int
+class ItohReport(Record):
+    __slots__ = ("k", "per_valuation", "is_radical", "least_radical_k")
 
     @property
     def u_exponents(self) -> tuple[int, ...]:
         return tuple(r.u_exponent for r in self.per_valuation)
 
 
-@dataclass(frozen=True)
-class SemilocalIdeal:
+class SemilocalIdeal(Record):
     """A nonzero ideal of a semilocal Dedekind domain as an exponent vector.
 
     Entry i is the multiplicity of the i-th maximal ideal; the all-zero
     vector is the unit ideal.
     """
 
-    exponents: tuple[int, ...]
+    __slots__ = ("exponents",)
 
     def __post_init__(self):
         exps = tuple(int(e) for e in self.exponents)
@@ -133,15 +123,12 @@ def itoh_structure(rees: ReesData | Sequence[int], k: int) -> ItohReport:
     )
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(Record):
     """Four independently computed radicality verdicts; all must agree."""
 
-    k: int
-    via_tower: bool
-    via_exponent_vector: bool
-    via_unextended: bool
-    via_divisibility: bool
+    __slots__ = (
+        "k", "via_tower", "via_exponent_vector", "via_unextended", "via_divisibility"
+    )
 
     @property
     def verdict(self) -> bool:

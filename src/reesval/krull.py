@@ -19,8 +19,7 @@ four standard families are computed exactly:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
 from .errors import (
     BadKError,
@@ -42,6 +41,7 @@ from .itoh import (
     rees_data,
     semilocal_radical,
 )
+from .record import Record
 
 FAMILY_SPLIT = "S"
 FAMILY_INERT = "T"
@@ -53,13 +53,11 @@ FAMILY_ROOT = "EXP2"
 MAX_MAXIMAL_IDEALS = 100_000
 
 
-@dataclass(frozen=True)
-class SystemEntry:
+class SystemEntry(Record):
     """One splitting prescription: residue degree, ramification, multiplicity."""
 
-    residue_degree: int
-    ramification: int
-    multiplicity: int = 1
+    __slots__ = ("residue_degree", "ramification", "multiplicity")
+    _defaults = {"multiplicity": 1}
 
     def __post_init__(self):
         for name in ("residue_degree", "ramification", "multiplicity"):
@@ -72,11 +70,9 @@ class SystemEntry:
         return self.residue_degree * self.ramification * self.multiplicity
 
 
-@dataclass(frozen=True)
-class ConsistentSystem:
-    m: int
-    per_valuation: tuple[tuple[SystemEntry, ...], ...]
-    family: str = ""
+class ConsistentSystem(Record):
+    __slots__ = ("m", "per_valuation", "family")
+    _defaults = {"family": ""}
 
     def __post_init__(self):
         if self.m < 1:
@@ -168,16 +164,15 @@ def build_system(family: str, rees: ReesData | Sequence[int], k: int) -> Consist
     return builder(rees, k)
 
 
-@dataclass(frozen=True)
-class GateDecision:
+class GateDecision(Record):
     """Outcome of the realizability gate.
 
     The theorem behind the gate states sufficient conditions only, so a
     system meeting none of them is UNDECIDED rather than unrealizable.
     """
 
-    realizable: bool
-    condition: int | None = None
+    __slots__ = ("realizable", "condition")
+    _defaults = {"condition": None}
 
     def __str__(self) -> str:
         if self.realizable:
@@ -202,8 +197,7 @@ def realizability_gate(
     return GateDecision(realizable=False)
 
 
-@dataclass(frozen=True)
-class RealizationReport:
+class RealizationReport(Record):
     """Numeric consequences of realizing a consistent system.
 
     The extended base ideal has the same exponent at each of the
@@ -211,11 +205,14 @@ class RealizationReport:
     ``jacobson_exponent``-th power of the Jacobson radical.
     """
 
-    extension_degree: int
-    maximal_ideal_count: int
-    jacobson_exponent: int
-    residue_degrees: tuple[int, ...] | None = None
-    simple_extension: bool | None = None
+    __slots__ = (
+        "extension_degree",
+        "maximal_ideal_count",
+        "jacobson_exponent",
+        "residue_degrees",
+        "simple_extension",
+    )
+    _defaults = {"residue_degrees": None, "simple_extension": None}
 
     @property
     def uniform_rees_integer(self) -> int:
@@ -280,8 +277,7 @@ def common_multiple_realization(rees: ReesData | Sequence[int], e: int) -> Reali
     )
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(Record):
     """One direct summand of the ambient ring.
 
     A component with ``participates`` false models a minimal prime on
@@ -289,8 +285,7 @@ class Component:
     extension plan unchanged and carries no Rees data.
     """
 
-    rees_integers: tuple[int, ...]
-    participates: bool
+    __slots__ = ("rees_integers", "participates")
 
     def __post_init__(self):
         object.__setattr__(self, "rees_integers", tuple(int(e) for e in self.rees_integers))
@@ -302,33 +297,26 @@ class Component:
             raise NonPositiveError("Rees integers must be >= 1")
 
 
-@dataclass(frozen=True)
-class ComponentPlan:
-    components: tuple[Component, ...]
+class ComponentPlan(Record):
+    __slots__ = ("components",)
 
     def __post_init__(self):
         if not any(c.participates for c in self.components):
             raise NonPositiveError("at least one component must participate")
 
 
-@dataclass(frozen=True)
-class ComponentOutcome:
-    participates: bool
-    rees_integers: tuple[int, ...]
-    realization: RealizationReport | None
+class ComponentOutcome(Record):
+    __slots__ = ("participates", "rees_integers", "realization")
 
 
-@dataclass(frozen=True)
-class DirectSumReport:
+class DirectSumReport(Record):
     """Per-component extension plans making every Rees integer equal to e.
 
     ``combined_rees_integers`` records the disjoint-union decomposition
     of the input Rees data across participating components.
     """
 
-    extension_degree: int
-    components: tuple[ComponentOutcome, ...]
-    combined_rees_integers: tuple[int, ...]
+    __slots__ = ("extension_degree", "components", "combined_rees_integers")
 
 
 def direct_sum_plan(plan: ComponentPlan, e: int) -> DirectSumReport:
@@ -377,8 +365,7 @@ def direct_sum_plan(plan: ComponentPlan, e: int) -> DirectSumReport:
     )
 
 
-@dataclass(frozen=True)
-class FullnessReport:
+class FullnessReport(Record):
     """Checks that the realized Jacobson radical behaves as promised.
 
     The split-family realization of the base data yields a radical,
@@ -386,10 +373,9 @@ class FullnessReport:
     base ideal.
     """
 
-    realization: RealizationReport
-    is_radical: bool
-    projectively_full: bool
-    equivalent_to_extension: bool
+    __slots__ = (
+        "realization", "is_radical", "projectively_full", "equivalent_to_extension"
+    )
 
     @property
     def ok(self) -> bool:

@@ -22,8 +22,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import (
     DimensionMismatchError,
@@ -35,6 +34,7 @@ from .errors import (
     ParseError,
     ZeroExponentError,
 )
+from .record import Record
 
 Vec = tuple[int, ...]
 
@@ -90,8 +90,7 @@ def monomial_str(m: Vec) -> str:
     return "*".join(parts) if parts else "1"
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(Record):
     """A proper nonzero monomial ideal given by its minimal generators.
 
     Generators are stored as a lexicographically sorted antichain of
@@ -99,8 +98,7 @@ class MonomialIdeal:
     arbitrary generating set.
     """
 
-    dim: int
-    generators: tuple[Vec, ...]
+    __slots__ = ("dim", "generators")
 
     def __post_init__(self):
         if not 1 <= self.dim <= 3:
@@ -145,12 +143,10 @@ def minimalize(gens: Iterable[Sequence[int]], dim: int | None = None) -> Monomia
     return MonomialIdeal(d, kept)
 
 
-@dataclass(frozen=True)
-class ReesValuationSpec:
+class ReesValuationSpec(Record):
     """One Rees valuation: a primitive monomial weight and its Rees integer."""
 
-    normal: Vec
-    rees_integer: int
+    __slots__ = ("normal", "rees_integer")
 
     def __post_init__(self):
         normal = tuple(int(e) for e in self.normal)
@@ -165,12 +161,10 @@ class ReesValuationSpec:
             raise NonPositiveError("Rees integer must be >= 1")
 
 
-@dataclass(frozen=True)
-class ReesPackage:
+class ReesPackage(Record):
     """A monomial ideal together with all of its Rees valuations."""
 
-    ideal: MonomialIdeal
-    valuations: tuple[ReesValuationSpec, ...]
+    __slots__ = ("ideal", "valuations")
 
     def __post_init__(self):
         normals = [v.normal for v in self.valuations]

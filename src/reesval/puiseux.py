@@ -10,7 +10,10 @@ and k:
 * ramification is the index of Z in the value group Z + (e/k)Z.
   Scaled by k that group is kZ + eZ, and :func:`subgroup_generated`
   reduces it to one generator g, the gcd of the numerators over the
-  lcm of the denominators; the index is k/g;
+  lcm of the denominators; the index is k/g.  The gcd comes from the
+  extended Euclidean algorithm, returned only with Bezout coefficients
+  s, t that pass s*k + t*e == g, g | k and g | e, so this route takes
+  no ``math.gcd`` of e and k and builds no ``Fraction`` on them either;
 * the residue degree is the order d of the smallest value-zero monomial
   in u^(1/k) and the uniformizer, whose residue tau satisfies
   tau^d = w for the unit w = v/s of s-valuation -1 over the rational
@@ -26,27 +29,43 @@ and k:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable
 
 from .errors import (
     FundamentalEqualityViolation,
     NonIntegralSetupError,
     NonPositiveError,
 )
+from .record import Record
 
 
-@dataclass(frozen=True)
-class PuiseuxModel:
+class PuiseuxModel(Record):
     """Base data: u has value e (value group Z), and a k-th root is adjoined."""
 
-    e: int
-    k: int
+    __slots__ = ("e", "k")
 
     def __post_init__(self):
         if self.e < 1 or self.k < 1:
             raise NonPositiveError("model requires e >= 1 and k >= 1")
+
+
+def _certified_gcd(a: int, b: int) -> int:
+    """gcd(a, b) for a >= 1 and b >= 1 by the extended Euclidean algorithm.
+
+    The result g is returned only with Bezout coefficients that pass
+    s*a + t*b == g, and with g | a and g | b: every common divisor of a
+    and b then divides g, so g is the greatest.
+    """
+    g, s, t, r, s_next, t_next = a, 1, 0, b, 0, 1
+    while r:
+        quotient = g // r
+        g, r = r, g - quotient * r
+        s, s_next = s_next, s - quotient * s_next
+        t, t_next = t_next, t - quotient * t_next
+    if s * a + t * b != g or a % g or b % g:
+        raise FundamentalEqualityViolation(f"no Bezout certificate for gcd({a}, {b}) = {g}")
+    return g
 
 
 def subgroup_generated(xs: Iterable[Fraction | int]) -> Fraction:
@@ -55,7 +74,8 @@ def subgroup_generated(xs: Iterable[Fraction | int]) -> Fraction:
     Such a subgroup is cyclic, g*Z for a unique nonnegative rational g.
     Each entry, an int or a reduced Fraction, is read as its integer
     (numerator, denominator) pair, and g is gcd(numerators) over
-    lcm(denominators); the empty list gives g = 0, the trivial group.
+    lcm(denominators), the gcd by :func:`_certified_gcd`; zero entries
+    add nothing, and the empty list gives g = 0, the trivial group.
     Only the result is built as a Fraction.
     """
     num = 0
@@ -63,8 +83,9 @@ def subgroup_generated(xs: Iterable[Fraction | int]) -> Fraction:
     for x in xs:
         if x < 0:
             raise NonPositiveError(f"subgroup entries must be nonnegative, got {x}")
-        num = math.gcd(num, x.numerator)
-        den = math.lcm(den, x.denominator)
+        if x:
+            num = _certified_gcd(num, x.numerator) if num else x.numerator
+            den = math.lcm(den, x.denominator)
     return Fraction(num, den)
 
 

@@ -191,6 +191,12 @@ sorted_vectors = (
 )
 
 
+def ideal_product(a, b):
+    """I * J, generated by the sums of one generator of each."""
+    sums = (tuple(x + y for x, y in zip(g, h)) for g in a.generators for h in b.generators)
+    return minimalize(sums, a.dim)
+
+
 def random_ideal(rng, dim=2, max_coord=6, max_gens=5):
     while True:
         gens = set()
@@ -492,6 +498,29 @@ class TestIntegralClosure:
             assert any(v.normal[-1] == 0 for v in rees_valuations(ideal).valuations)
         for k in range(1, 5):
             assert integral_closure_power(ideal, k).generators == box_scan_closure(ideal, k)
+
+    # closure(I^k) = I * closure(I^(k-1)) for k >= d (Reid, Roberts and
+    # Vitulli 2003): a certificate that uses no facets and no
+    # Fourier-Motzkin, only a product and minimalize.
+    @settings(deadline=None, max_examples=150)
+    @given(
+        st.one_of(
+            st.tuples(ideals(1, 8, 3), st.integers(2, 4)),
+            st.tuples(ideals(2, 8, 6), st.integers(2, 4)),
+            st.tuples(ideals(3, 4, 5), st.integers(3, 5)),
+        )
+    )
+    def test_product_identity_from_k_equal_d(self, case):
+        ideal, k = case
+        lower = integral_closure_power(ideal, k - 1)
+        assert integral_closure_power(ideal, k) == ideal_product(ideal, lower)
+
+    def test_product_identity_fails_below_d(self):
+        # d = 3: the identity holds from k = 3 on, not at k = 2
+        ideal = minimalize({(0, 0, 2), (1, 3, 0), (3, 1, 0)})
+        for k, holds in ((2, False), (3, True), (4, True)):
+            lower = integral_closure_power(ideal, k - 1)
+            assert (integral_closure_power(ideal, k) == ideal_product(ideal, lower)) == holds
 
     def test_work_scales_with_columns(self):
         # d = 3, k*M = 120: the box has 121^3 cells, the walk 121^2 columns.

@@ -8,6 +8,7 @@ import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
+from reesval.cli import main
 from reesval.dvrcalc import general_k_extension
 from reesval.errors import NonIntegralSetupError, NonPositiveError
 from reesval.puiseux import (
@@ -131,6 +132,14 @@ class TestOracleExtension:
                 # acceptance-level agreement with the closed form
                 assert res == math.gcd(e, k)
                 assert ram == k // math.gcd(e, k)
+
+
+def test_oracle_is_independent_of_math_gcd(monkeypatch, capsys):
+    # a gcd that calls every pair coprime breaks the calculus, not the oracle
+    monkeypatch.setattr(math, "gcd", lambda *args: 1)
+    assert oracle_extension(PuiseuxModel(4, 6)) == (3, 2, 6)
+    assert main(["tower", "--e", "4", "--k", "6", "--oracle"]) == 3
+    assert "disagrees with oracle" in capsys.readouterr().err
 
 
 def brute_subgroup_generator(xs, bound=6):
