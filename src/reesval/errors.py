@@ -78,6 +78,10 @@ class NonIntegralSetupError(InputError):
     pass
 
 
+class OutputLimitError(InputError):
+    """The answer would exceed a stated size limit."""
+
+
 class ParseError(InputError):
     """Malformed text input; carries the 1-based offending line number."""
 

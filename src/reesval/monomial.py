@@ -31,6 +31,7 @@ from .errors import (
     InconsistentDimensionError,
     NonPositiveError,
     NonPositivePowerError,
+    OutputLimitError,
     ParseError,
     ZeroExponentError,
 )
@@ -105,15 +106,15 @@ class MonomialIdeal(Record):
             raise InconsistentDimensionError(f"dimension must be 1..3, got {self.dim}")
         if not self.generators:
             raise EmptyGeneratorsError("a monomial ideal needs at least one generator")
-        gens = tuple(sorted(tuple(int(e) for e in g) for g in self.generators))
+        gens = tuple(sorted([tuple(map(int, g)) for g in self.generators]))
         for g in gens:
             if len(g) != self.dim:
                 raise InconsistentDimensionError(
                     f"generator {g} has length {len(g)}, expected {self.dim}"
                 )
-            if any(e < 0 for e in g):
+            if min(g) < 0:
                 raise ImproperIdealError(f"negative exponent in generator {g}")
-            if all(e == 0 for e in g):
+            if not any(g):
                 raise ImproperIdealError("the unit monomial cannot generate a proper ideal")
         for g, divisor in _earlier_divisors(gens):
             if divisor is not None:
@@ -265,53 +266,67 @@ def rees_valuations(ideal: MonomialIdeal) -> ReesPackage:
     return ReesPackage(ideal, tuple(specs))
 
 
+# the closure walks (k*M + 1)^(d - 1) columns; larger powers are refused
+MAX_CLOSURE_COLUMNS = 100_000
+
+
 def integral_closure_power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
     """Minimal generators of the integral closure of the k-th power.
 
     A monomial lies in the closure exactly when every Rees valuation
-    (a, r) gives it value a.m >= k*r.  The closure is walked column by
-    column: for each prefix p in [0, k*M]^(d-1), with M the largest
-    generator coordinate, z(p) is the least last exponent that makes
-    (p, z) a member.  Each valuation with a_d > 0 forces
-    z >= ceil((k*r - a'.p) / a_d), where a' is a without its last
-    entry; a valuation with a_d = 0 and a'.p < k*r rules the whole
-    column out (z(p) is None).  (p, z(p)) is a minimal generator
-    exactly when no lower neighbour is a member: z(p - e_i) is None or
-    greater than z(p) for every i with p_i > 0.
+    (a, r) gives it value a.m >= k*r.  For each column prefix p in
+    [0, k*M]^(d-1), with M the largest generator coordinate, z(p) is the
+    least last exponent that makes (p, z) a member: each valuation with
+    a_d > 0 forces z >= ceil((k*r - a'.p) / a_d), a' being a without its
+    last entry, and one with a_d = 0 and a'.p < k*r rules the column
+    out.  (p, z(p)) is a minimal generator exactly when no lower
+    neighbour p - e_i (p_i > 0) is a member, i.e. each is ruled out or
+    has z(p - e_i) > z(p).
 
     Every minimal generator lies in the box [0, k*M]^d: a member m lies
     in c + orthant for some c in k*conv(generators), whose coordinates
-    are at most k*M, so m_i > k*M leaves m - e_i a member too.  Hence
-    prefixes outside the box are never needed, and a column with
-    z(p) > k*M never passes the lower-neighbour rule, so z needs no
-    bound check.  The cost is (k*M + 1)^(d-1) columns times the number
-    of valuations, in integer steps.
+    are at most k*M, so m_i > k*M leaves m - e_i a member too, and
+    z(p) <= k*M unless p is ruled out, which k*M + 1 then stands for.
+    The walk takes one line of columns (q, t), q in [0, k*M]^(d-2), at
+    a time: one list pass per valuation with a_d > 0 and one division
+    per other valuation, on each of (k*M + 1)^(d-2) lines.  Powers with
+    more than MAX_CLOSURE_COLUMNS columns are refused.
     """
     if k < 1:
         raise NonPositivePowerError(f"power must be >= 1, got {k}")
-    bound = k * ideal.max_coordinate
+    d, bound = ideal.dim, k * ideal.max_coordinate
+    columns = (bound + 1) ** (d - 1)
+    if columns > MAX_CLOSURE_COLUMNS:
+        raise OutputLimitError(
+            f"closure has {columns} columns, above the limit of {MAX_CLOSURE_COLUMNS}"
+        )
+    if d == 1:
+        return MonomialIdeal(1, ((k * ideal.generators[0][0],),))
     rows = [
-        (v.normal[:-1], v.normal[-1], k * v.rees_integer)
+        (v.normal[:-2], v.normal[-2], v.normal[-1], k * v.rees_integer)
         for v in rees_valuations(ideal).valuations
     ]
-    column: dict[Vec, int | None] = {}
+    span, out = range(bound + 1), bound + 1
+    lines: dict[Vec, list[int]] = {}
     gens = []
-    for p in itertools.product(range(bound + 1), repeat=ideal.dim - 1):
-        z: int | None = 0
-        for head, last, target in rows:
-            short = target - _dot(head, p)
+    for q in itertools.product(span, repeat=d - 2):
+        bounds, cut = [], 0
+        for head, step, last, target in rows:
+            base = target - _dot(head, q)
             if last:
-                z = max(z, -(-short // last))
-            elif short > 0:
-                z = None
-                break
-        column[p] = z
-        if z is None:
-            continue
-        lower = (column[p[:i] + (e - 1,) + p[i + 1:]] for i, e in enumerate(p) if e)
-        if all(lz is None or lz > z for lz in lower):
-            gens.append(p + (z,))
-    return MonomialIdeal(ideal.dim, tuple(gens))
+                bounds.append([-((step * t - base) // last) for t in span])
+            elif step:
+                cut = max(cut, min(-(-base // step), out))
+            elif base > 0:
+                cut = out
+        zs = list(map(max, [0] * out, *bounds)) if bounds else [0] * out
+        zs[:cut] = [out] * cut
+        lines[q] = zs
+        floor = [out, *zs[:-1]]
+        for low in [lines[q[:i] + (e - 1,) + q[i + 1:]] for i, e in enumerate(q) if e]:
+            floor = list(map(min, floor, low))
+        gens += [q + (t, z) for t, z, f in zip(span, zs, floor) if z < f]
+    return MonomialIdeal(d, tuple(gens))
 
 
 def _fm_feasible(constraints: list[tuple[list[int], int]], nvars: int) -> bool:

@@ -246,6 +246,18 @@ class TestClosureCommand:
         assert out == ""
         assert err == "error: power must be >= 1, got 0\n"
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_huge_k_is_rejected_up_front(self, capsys, ideal_file, json_flag):
+        # (x^2, y^3) at k = 10^12: 3 * 10^12 + 1 columns
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, *json_flag, "closure", ideal_file(IDEAL_X2_Y3), "--k", "1000000000000"
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert err == "error: closure has 3000000000001 columns, above the limit of 100000\n"
+
 
 class TestOneAndThreeDimensional:
     """Golden reports for ideals that go through the double-description facets."""

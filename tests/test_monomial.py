@@ -16,9 +16,11 @@ from reesval.errors import (
     ImproperIdealError,
     InconsistentDimensionError,
     NonPositivePowerError,
+    OutputLimitError,
     ParseError,
 )
 from reesval.monomial import (
+    MAX_CLOSURE_COLUMNS,
     MonomialIdeal,
     _facets_2d,
     _facets_dd,
@@ -490,6 +492,14 @@ class TestIntegralClosure:
             ({(1, 0, 0), (0, 1, 0)}, 3),
             ({(1, 0, 1), (0, 2, 0)}, 3),
             ({(3,)}, 1),
+            # normal (1, 0, 0): each line with x < k is ruled out whole
+            ({(1, 0, 0)}, 3),
+            ({(1, 1, 0), (1, 0, 1)}, 3),
+            ({(2, 0, 0), (1, 0, 2), (1, 1, 0)}, 3),
+            # normals (0, 1, 0) and (1, 2, 0): a leading segment of y is
+            # ruled out, at (1, 2, 0) a shorter one as x grows
+            ({(2, 1, 0), (0, 1, 3)}, 3),
+            ({(2, 0, 0), (0, 1, 0)}, 3),
         ],
     )
     def test_fixed_cases_match_box_scan(self, gens, dim):
@@ -521,6 +531,26 @@ class TestIntegralClosure:
         for k, holds in ((2, False), (3, True), (4, True)):
             lower = integral_closure_power(ideal, k - 1)
             assert (integral_closure_power(ideal, k) == ideal_product(ideal, lower)) == holds
+
+    def test_column_limit(self):
+        # (x^(L-1), y) at k = 1 has exactly L = MAX_CLOSURE_COLUMNS columns
+        at = MonomialIdeal(2, ((0, 1), (MAX_CLOSURE_COLUMNS - 1, 0)))
+        assert integral_closure_power(at, 1) == at
+        over = MonomialIdeal(2, ((0, 1), (MAX_CLOSURE_COLUMNS, 0)))
+        with pytest.raises(OutputLimitError) as info:
+            integral_closure_power(over, 1)
+        assert str(info.value) == (
+            f"closure has {MAX_CLOSURE_COLUMNS + 1} columns, "
+            f"above the limit of {MAX_CLOSURE_COLUMNS}"
+        )
+
+    def test_column_limit_counts_lines_of_columns(self):
+        # d = 3, M = 4: (4k + 1)^2 columns, 313^2 <= 100000 < 317^2
+        ideal = minimalize({(4, 0, 0), (0, 4, 0), (0, 0, 4), (1, 1, 1)})
+        assert MAX_CLOSURE_COLUMNS == 100_000
+        assert len(integral_closure_power(ideal, 78).generators) == 36973
+        with pytest.raises(OutputLimitError, match="100489 columns"):
+            integral_closure_power(ideal, 79)
 
     def test_work_scales_with_columns(self):
         # d = 3, k*M = 120: the box has 121^3 cells, the walk 121^2 columns.
