@@ -350,6 +350,18 @@ class TestReesValuations:
         gens = ideal.generators
         assert sorted(_facets_dd(gens, 3)) == candidate_scan_facets(gens, 3)
 
+    @pytest.mark.parametrize("n, seed", [(16, 1301), (18, 1302), (20, 1303)])
+    def test_double_description_on_convex_surfaces_3d(self, n, seed):
+        # The property test above stops at 12 generators; the rees-facets
+        # benchmark runs 10-24 on such surfaces, where nearly every
+        # generator is a vertex.  The reference scan takes ~0.5 s at n = 20.
+        ideal = sphere_ideal(n, seed)
+        facets = candidate_scan_facets(ideal.generators, 3)
+        assert sorted(_facets_dd(ideal.generators, 3)) == facets
+        assert normals_and_integers(rees_valuations(ideal)) == [
+            (a, b) for a, b in facets if b > 0
+        ]
+
     def test_degenerate_3d(self):
         # All 36 generators on the plane x + y + z = 7: one facet.
         plane = minimalize({(a, b, 7 - a - b) for a in range(8) for b in range(8 - a)})

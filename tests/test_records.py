@@ -190,6 +190,16 @@ def test_unequal_values_differ():
             "normal (2, 2) is not primitive",
         ),
         (
+            lambda: monomial.ReesValuationSpec((0, 4, 0), 1),
+            ImproperIdealError,
+            "normal (0, 4, 0) is not primitive",
+        ),
+        (
+            lambda: monomial.ReesValuationSpec((0, -1, 1), 1),
+            ImproperIdealError,
+            "valuation normal must be nonnegative",
+        ),
+        (
             lambda: monomial.ReesValuationSpec((1, 1), 0),
             NonPositiveError,
             "Rees integer must be >= 1",
@@ -205,3 +215,7 @@ def test_validation_messages(build, error, message):
     with pytest.raises(error) as info:
         build()
     assert str(info.value) == message
+
+
+def test_spec_accepts_a_primitive_normal_with_zero_coordinates():
+    assert monomial.ReesValuationSpec((0, 0, 1), 1).normal == (0, 0, 1)
