@@ -12,7 +12,9 @@ of powers are cut out by those facet inequalities, and an independent
 membership oracle decides the same question touching no facet data at
 all: it looks for a convex combination of at most d scaled generators
 below the point, deciding each subset by exact Fourier-Motzkin
-elimination in at most d - 1 variables.
+elimination in at most d - 1 variables.  The last variable is settled
+in one pass over its bounds, so a pair of generators (one variable)
+forms no combination of rows at all.
 
 All geometry is exact: integers only.
 """
@@ -287,6 +289,17 @@ def rees_valuations(ideal: MonomialIdeal) -> ReesPackage:
 MAX_CLOSURE_COLUMNS = 100_000
 
 
+def _power(k: int) -> int:
+    """k as an int, refusing what is not an integer >= 1."""
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise NonPositivePowerError(f"power must be an integer, got {k!r}") from None
+    if k < 1:
+        raise NonPositivePowerError(f"power must be >= 1, got {k}")
+    return k
+
+
 def integral_closure_power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
     """Minimal generators of the integral closure of the k-th power.
 
@@ -309,8 +322,7 @@ def integral_closure_power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
     per other valuation, on each of (k*M + 1)^(d-2) lines.  Powers with
     more than MAX_CLOSURE_COLUMNS columns are refused.
     """
-    if k < 1:
-        raise NonPositivePowerError(f"power must be >= 1, got {k}")
+    k = _power(k)
     d, bound = ideal.dim, k * ideal.max_coordinate
     columns = (bound + 1) ** (d - 1)
     if columns > MAX_CLOSURE_COLUMNS:
@@ -346,56 +358,74 @@ def integral_closure_power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
     return MonomialIdeal(d, tuple(gens))
 
 
-def _fm_feasible(constraints: list[tuple[list[int], int]], nvars: int) -> bool:
-    """Decide feasibility of a system of integer inequalities sum(c*x) <= b.
+def _fm_feasible(constraints: Iterable[tuple[Sequence[int], int]], nvars: int) -> bool:
+    """Decide rational feasibility of integer inequalities sum(c*x) <= b, nvars >= 1.
 
-    Classic Fourier-Motzkin elimination; rows are gcd-reduced to keep
-    coefficients small.  Exact for any input.
+    Classic Fourier-Motzkin elimination (Schrijver, *Theory of Linear and
+    Integer Programming*, 12.2), exact for any input.  Every row is
+    divided by the gcd of its entries.  Variables nvars - 1 down to 1 are
+    eliminated pairwise: each row with a positive coefficient is combined
+    with each row with a negative one.  The last variable x0 is then
+    settled in one pass over its bounds, with no combination at all: a
+    row c*x0 <= b bounds it above by b/c when c > 0 and below by b/c when
+    c < 0, and a row 0 <= b with b < 0 is a contradiction.  The system is
+    feasible exactly when the greatest lower bound is at most the least
+    upper bound; bounds are compared by integer cross-multiplication.
     """
-
-    def reduce_row(coeffs: list[int], rhs: int) -> tuple[list[int], int]:
-        g = math.gcd(*(abs(c) for c in coeffs), abs(rhs))
-        if g > 1:
-            return [c // g for c in coeffs], rhs // g
-        return coeffs, rhs
-
-    rows = [reduce_row(list(c), b) for c, b in constraints]
-    for var in range(nvars - 1, -1, -1):
+    rows = []
+    for coeffs, rhs in constraints:
+        g = math.gcd(*coeffs, rhs)
+        rows.append(([c // g for c in coeffs], rhs // g) if g > 1 else (coeffs, rhs))
+    for var in range(nvars - 1, 0, -1):
         pos, neg, rest = [], [], []
-        for coeffs, rhs in rows:
-            cv = coeffs[var]
+        for row in rows:
+            cv = row[0][var]
             if cv > 0:
-                pos.append((coeffs, rhs))
+                pos.append(row)
             elif cv < 0:
-                neg.append((coeffs, rhs))
+                neg.append(row)
             else:
-                rest.append((coeffs, rhs))
-        for (pc, pb), (nc, nb) in itertools.product(pos, neg):
-            scale_p, scale_n = -nc[var], pc[var]
-            coeffs = [scale_p * p + scale_n * n for p, n in zip(pc, nc)]
-            rhs = scale_p * pb + scale_n * nb
-            if not any(coeffs) and rhs < 0:
-                return False
-            rest.append(reduce_row(coeffs, rhs))
+                rest.append(row)
+        for pc, pb in pos:
+            for nc, nb in neg:
+                scale_p, scale_n = -nc[var], pc[var]
+                coeffs = [scale_p * p + scale_n * n for p, n in zip(pc, nc)]
+                rhs = scale_p * pb + scale_n * nb
+                g = math.gcd(*coeffs, rhs)
+                rest.append(([c // g for c in coeffs], rhs // g) if g > 1 else (coeffs, rhs))
         rows = rest
-    return all(rhs >= 0 for _, rhs in rows)
+    # The bounds on x0 are num/den with den >= 0; den = 0 stands for the
+    # infinite bound (-1/0 below, 1/0 above) that every finite one beats.
+    low, low_den, high, high_den = -1, 0, 1, 0
+    for coeffs, rhs in rows:
+        c = coeffs[0]
+        if c > 0:
+            if rhs * high_den < high * c:  # b/c < high/high_den
+                high, high_den = rhs, c
+        elif c < 0:
+            if rhs * low_den < low * c:  # b/c > low/low_den, as c < 0
+                low, low_den = -rhs, -c
+        elif rhs < 0:
+            return False
+    return low * high_den <= high * low_den
 
 
 def _combination_below(points: Sequence[Vec], m: Vec) -> bool:
     """Whether some convex combination of the points is <= m, by :func:`_fm_feasible`.
 
     The last weight is eliminated as 1 - sum of the others, which leaves
-    len(points) - 1 variables and the system
-      -lambda_i <= 0,  sum lambda_i <= 1,
-      sum lambda_i * (p_i - p_last)[j] <= m[j] - p_last[j].
+    r = len(points) - 1 variables and the system
+      sum lambda_i * (p_i - p_last)[j] <= m[j] - p_last[j],
+      sum lambda_i <= 1,  -lambda_i <= 0.
+    Two points give one variable, which :func:`_fm_feasible` settles in
+    one pass over its bounds; three give two, one of them eliminated.
     """
     *rest, last = points
     r = len(rest)
-    cons = [([-1 if j == i else 0 for j in range(r)], 0) for i in range(r)]
-    cons.append(([1] * r, 1))
-    for j, (mj, lj) in enumerate(zip(m, last)):
-        cons.append(([p[j] - lj for p in rest], mj - lj))
-    return _fm_feasible(cons, r)
+    rows = [([p[j] - lj for p in rest], mj - lj) for j, (mj, lj) in enumerate(zip(m, last))]
+    rows.append(([1] * r, 1))
+    rows += [([-1 if j == i else 0 for j in range(r)], 0) for i in range(r)]
+    return _fm_feasible(rows, r)
 
 
 def oracle_is_integral(ideal: MonomialIdeal, k: int, m: Sequence[int]) -> bool:
@@ -432,9 +462,11 @@ def oracle_is_integral(ideal: MonomialIdeal, k: int, m: Sequence[int]) -> bool:
     bitmask: all of them is dominance, none is pruning (a), and a subset
     passes (b) when the union of its members' masks is all of them.
     """
-    if k < 1:
-        raise NonPositivePowerError(f"power must be >= 1, got {k}")
-    m = tuple(int(e) for e in m)
+    k = _power(k)
+    try:
+        m = tuple(map(operator.index, m))
+    except TypeError:
+        raise DimensionMismatchError(f"monomial {m!r} has a non-integer exponent") from None
     if len(m) != ideal.dim:
         raise DimensionMismatchError(
             f"monomial {m} has length {len(m)}, ideal has dimension {ideal.dim}"
@@ -467,8 +499,7 @@ def ideal_power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
     of I^(j-1) and one of I, so each step minimalizes those products
     instead of all C(n+k-1, k) k-fold sums of the n generators.
     """
-    if k < 1:
-        raise NonPositivePowerError(f"power must be >= 1, got {k}")
+    k = _power(k)
     power = ideal
     for _ in range(k - 1):
         sums = (

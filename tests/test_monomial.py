@@ -1,6 +1,7 @@
 import ast
 import itertools
 import math
+import operator
 import random
 import re
 import time
@@ -24,6 +25,7 @@ from reesval.monomial import (
     MonomialIdeal,
     _facets_2d,
     _facets_dd,
+    _fm_feasible,
     ideal_power,
     integral_closure_power,
     minimalize,
@@ -469,6 +471,8 @@ class TestIntegralClosure:
     def test_rejects_bad_power(self):
         with pytest.raises(NonPositivePowerError):
             integral_closure_power(minimalize({(1, 0), (0, 1)}), 0)
+        with pytest.raises(NonPositivePowerError, match="must be an integer, got 2.0"):
+            integral_closure_power(minimalize({(2, 0), (0, 3)}), 2.0)
 
     def test_idempotent(self):
         rng = random.Random(11)
@@ -610,6 +614,16 @@ class TestOracle:
         with pytest.raises(DimensionMismatchError):
             oracle_is_integral(minimalize({(1, 0), (0, 1)}), 1, (1, 0, 0))
 
+    def test_integers_only(self):
+        # int() would truncate (1.9, 1.9) to the non-member (1, 1), and
+        # k = 1.5 would scale x^2 in floats to (3.0, 0.0) <= (3, 1).
+        ideal = minimalize({(2, 0), (0, 3)})
+        with pytest.raises(DimensionMismatchError, match="non-integer exponent"):
+            oracle_is_integral(ideal, 1, (1.9, 1.9))
+        with pytest.raises(NonPositivePowerError, match="must be an integer, got 1.5"):
+            oracle_is_integral(ideal, 1.5, (3, 1))
+        assert oracle_is_integral(ideal, True, (2, 0))  # bool is an int
+
     def test_equivalence_small(self):
         # closure membership from facets == cone membership, on the whole box
         cases = [
@@ -670,6 +684,64 @@ class TestOracle:
         assert oracle_is_integral(ideal, k, m) == in_closure
 
 
+BIG = 10**12
+# small values make ties, zero coefficients and tight bounds likely
+fm_coefficients = st.one_of(st.integers(-3, 3), st.integers(-BIG, BIG))
+
+
+@st.composite
+def fm_systems(draw):
+    """(rows, nvars, feasible) for a system of rows sum(c*x) <= b.
+
+    A feasible system is built around an integer witness x*, with
+    b >= c.x*.  An infeasible one carries a Farkas certificate: random
+    rows plus the row -sum y_i*row_i whose right-hand side is lowered by
+    1 + slack, with every y_i >= 1, so that sum y_i*row_i plus that row
+    reads 0 <= -1 - slack.  When a sign is drawn, every coefficient has
+    that sign, so each variable is bounded on one side only; such a
+    system is infeasible only through a row 0 <= b with b < 0.
+    """
+    nvars = draw(st.integers(1, 3))
+    sign = draw(st.sampled_from((0, 1, -1)))
+    coeff = st.integers(0, BIG).map(lambda c: sign * c) if sign else fm_coefficients
+    slack = draw(st.one_of(st.just(0), st.integers(0, BIG)))
+    feasible = draw(st.booleans())
+    coeffs = draw(st.lists(st.lists(coeff, min_size=nvars, max_size=nvars), min_size=1, max_size=6))
+    if feasible:
+        witness = draw(st.lists(st.integers(-10**6, 10**6), min_size=nvars, max_size=nvars))
+        rows = [
+            (c, sum(map(operator.mul, c, witness)) + draw(st.sampled_from((0, slack))))
+            for c in coeffs
+        ]
+    elif sign:
+        rows = [(c, draw(fm_coefficients)) for c in coeffs] + [([0] * nvars, -1 - slack)]
+    else:
+        rows = [(c, draw(fm_coefficients)) for c in coeffs]
+        ys = draw(st.lists(st.integers(1, 10**6), min_size=len(rows), max_size=len(rows)))
+        last = [-sum(y * c[i] for y, (c, _) in zip(ys, rows)) for i in range(nvars)]
+        rows.append((last, -sum(y * b for y, (_, b) in zip(ys, rows)) - 1 - slack))
+    return draw(st.permutations(rows)), nvars, feasible
+
+
+class TestFourierMotzkin:
+    @settings(max_examples=400, deadline=None)
+    @given(fm_systems())
+    # 2 <= x0 <= 2 and 2 <= x0 <= 1
+    @example(([([1], 2), ([-1], -2)], 1, True))
+    @example(([([1], 1), ([-1], -2)], 1, False))
+    # bounded above only, below only, not at all, and 0 <= -1
+    @example(([([3], -7), ([5], 4)], 1, True))
+    @example(([([-3], -7), ([-5], 4)], 1, True))
+    @example(([([0], 0)], 1, True))
+    @example(([([0], -1), ([1], 5)], 1, False))
+    # x0 + x1 <= 1 (or 2) with x0 >= 1 and x1 >= 1/2
+    @example(([([1, 1], 1), ([-1, 0], -1), ([0, -2], -1)], 2, False))
+    @example(([([1, 1], 2), ([-1, 0], -1), ([0, -2], -1)], 2, True))
+    def test_witness_and_farkas_systems(self, system):
+        rows, nvars, feasible = system
+        assert _fm_feasible(rows, nvars) is feasible
+
+
 class TestPowerStability:
     def test_power_scales_rees_integers(self):
         rng = random.Random(17)
@@ -707,6 +779,8 @@ class TestIdealPower:
     def test_rejects_nonpositive_power(self):
         with pytest.raises(NonPositivePowerError):
             ideal_power(minimalize({(1, 0), (0, 1)}), 0)
+        with pytest.raises(NonPositivePowerError, match="must be an integer"):
+            ideal_power(minimalize({(2, 0), (0, 3)}), 2.0)
 
     def test_many_generators_high_power(self):
         # 16 generators at k = 8: C(23, 8) = 490314 eight-fold sums,
