@@ -32,6 +32,7 @@ from .errors import (
     EmptyGeneratorsError,
     ImproperIdealError,
     InconsistentDimensionError,
+    InputError,
     NonPositiveError,
     NonPositivePowerError,
     OutputLimitError,
@@ -59,12 +60,13 @@ def _earlier_divisors(vecs: Sequence[Vec]) -> Iterator[tuple[Vec, Vec | None]]:
     tail.  The minimal tails seen so far form a staircase: heads strictly
     increase and ends strictly decrease, so the one candidate divisor is
     the last step whose head is <= the current head, found by bisection.
+    All vectors have the same length.
     """
     heads: list[int] = []
     ends: list[int] = []
     owners: list[Vec] = []
-    for v in vecs:
-        head, end = (*v, 0, 0)[1:3]
+    tails = list(zip(*vecs))[1:] + [[0] * len(vecs)] * 2  # columns, zero-padded
+    for v, head, end in zip(vecs, tails[0], tails[1]):
         i = bisect.bisect_right(heads, head)
         if i and ends[i - 1] <= end:
             yield v, owners[i - 1]
@@ -74,7 +76,10 @@ def _earlier_divisors(vecs: Sequence[Vec]) -> Iterator[tuple[Vec, Vec | None]]:
         hi = lo
         while hi < len(ends) and ends[hi] >= end:
             hi += 1
-        heads[lo:hi], ends[lo:hi], owners[lo:hi] = [head], [end], [v]
+        if hi == lo + 1:  # the common case, and cheaper than a slice
+            heads[lo], ends[lo], owners[lo] = head, end, v
+        else:
+            heads[lo:hi], ends[lo:hi], owners[lo:hi] = [head], [end], [v]
         yield v, None
 
 
@@ -94,37 +99,103 @@ def monomial_str(m: Vec) -> str:
     return "*".join(parts) if parts else "1"
 
 
+def _minimal(vecs: list[Vec], d: int) -> list[Vec]:
+    """The members of a lexicographically sorted list that no earlier member divides.
+
+    In 2D an earlier member never has a larger x, so it divides exactly
+    when its y is not larger: the list is an antichain exactly when y
+    strictly decreases, which one comparison pass decides, and otherwise
+    the members kept are those whose y is below every earlier y.  In 1D
+    and 3D the staircase of :func:`_earlier_divisors` takes O(g log g).
+    """
+    if d != 2:
+        return [v for v, divisor in _earlier_divisors(vecs) if divisor is None]
+    ys = [v[1] for v in vecs]
+    if all(map(operator.gt, ys, ys[1:])):
+        return vecs
+    lows = itertools.accumulate(ys, min, initial=ys[0] + 1)
+    return list(itertools.compress(vecs, map(operator.lt, ys, lows)))
+
+
+def _read(gens: Sequence[Sequence[int]]) -> tuple[set[int], list[int]]:
+    """The set of generator lengths and all exponents in order, read with operator.index.
+
+    A generator that is not a sequence of integers raises ImproperIdealError.
+    """
+    try:
+        return set(map(len, gens)), list(
+            map(operator.index, itertools.chain.from_iterable(gens))
+        )
+    except TypeError:
+        pass
+    for g in gens:
+        try:
+            len(g), tuple(map(operator.index, g))
+        except TypeError:
+            raise ImproperIdealError(
+                f"generator {g!r} is not a sequence of integers"
+            ) from None
+    raise ImproperIdealError("generators must be sequences of integers")
+
+
+def _first_fault(gens: Sequence[Sequence[int]], d: int) -> InputError:
+    """The error of the first generator, in sorted order, that fails a check."""
+    vecs = sorted([tuple(map(operator.index, g)) for g in gens])
+    for g in vecs:
+        if len(g) != d:
+            return InconsistentDimensionError(
+                f"generator {g} has length {len(g)}, expected {d}"
+            )
+        if min(g) < 0:
+            return ImproperIdealError(f"negative exponent in generator {g}")
+        if not any(g):
+            return ImproperIdealError("the unit monomial cannot generate a proper ideal")
+    multiple, divisor = next((g, w) for g, w in _earlier_divisors(vecs) if w is not None)
+    return ImproperIdealError(
+        f"generators are not an antichain: {multiple} is a multiple of {divisor}"
+    )
+
+
 class MonomialIdeal(Record):
     """A proper nonzero monomial ideal given by its minimal generators.
 
-    Generators are stored as a lexicographically sorted antichain of
-    exponent vectors; use :func:`minimalize` to build one from an
-    arbitrary generating set.
+    ``generators`` is a nonempty sequence of exponent sequences of
+    length ``dim``, 1 <= dim <= 3.  Every exponent is read once with
+    ``operator.index``, so a float or a Fraction is refused, not
+    truncated.  The generators are stored as a lexicographically sorted
+    tuple of int tuples, and must be a nonnegative antichain without
+    the unit monomial: no generator divides another, and no two are
+    equal.  Any other input raises an ``InputError``; use
+    :func:`minimalize` to build an ideal from an arbitrary generating
+    set.  Each check is a builtin pass over all generators, and the
+    antichain check is one comparison pass in 2D and O(g log g) in 1D
+    and 3D.  Only when a check fails are the generators walked in
+    sorted order, to name the first one that fails.
     """
 
     __slots__ = ("dim", "generators")
 
     def __post_init__(self):
-        if not 1 <= self.dim <= 3:
-            raise InconsistentDimensionError(f"dimension must be 1..3, got {self.dim}")
+        try:
+            d = operator.index(self.dim)
+        except TypeError:
+            raise InconsistentDimensionError(
+                f"dimension must be an integer, got {self.dim!r}"
+            ) from None
+        if not 1 <= d <= 3:
+            raise InconsistentDimensionError(f"dimension must be 1..3, got {d}")
         if not self.generators:
             raise EmptyGeneratorsError("a monomial ideal needs at least one generator")
-        gens = tuple(sorted([tuple(map(int, g)) for g in self.generators]))
-        for g in gens:
-            if len(g) != self.dim:
-                raise InconsistentDimensionError(
-                    f"generator {g} has length {len(g)}, expected {self.dim}"
-                )
-            if min(g) < 0:
-                raise ImproperIdealError(f"negative exponent in generator {g}")
-            if not any(g):
-                raise ImproperIdealError("the unit monomial cannot generate a proper ideal")
-        for g, divisor in _earlier_divisors(gens):
-            if divisor is not None:
-                raise ImproperIdealError(
-                    f"generators are not an antichain: {g} is a multiple of {divisor}"
-                )
-        object.__setattr__(self, "generators", gens)
+        raw = tuple(self.generators)
+        lengths, exps = _read(raw)
+        if lengths == {d}:
+            gens = sorted(zip(*[iter(exps)] * d))
+            # sorted and nonnegative, the unit monomial could only come first
+            if min(exps) >= 0 and any(gens[0]) and len(_minimal(gens, d)) == len(gens):
+                object.__setattr__(self, "dim", d)
+                object.__setattr__(self, "generators", tuple(gens))
+                return
+        raise _first_fault(raw, d)
 
     @property
     def max_coordinate(self) -> int:
@@ -134,17 +205,20 @@ class MonomialIdeal(Record):
 def minimalize(gens: Iterable[Sequence[int]], dim: int | None = None) -> MonomialIdeal:
     """Drop every generator that is a monomial multiple of another.
 
-    The surviving antichain generates the same ideal.
+    The surviving antichain generates the same ideal.  Exponents are
+    read with ``operator.index``, as in :class:`MonomialIdeal`.
     """
-    vecs = sorted({tuple(int(e) for e in g) for g in gens})
-    if not vecs:
+    gens = tuple(gens)
+    lengths, exps = _read(gens)
+    if not gens:
         raise EmptyGeneratorsError("empty generating set")
-    d = dim if dim is not None else len(vecs[0])
-    for v in vecs:
-        if len(v) != d:
-            raise InconsistentDimensionError(f"generator {v} has length {len(v)}, expected {d}")
-    kept = tuple(v for v, divisor in _earlier_divisors(vecs) if divisor is None)
-    return MonomialIdeal(d, kept)
+    if len(lengths) != 1 or dim not in (None, *lengths):
+        vecs = sorted([tuple(map(operator.index, g)) for g in gens])
+        d = dim if dim is not None else len(vecs[0])
+        v = next(v for v in vecs if len(v) != d)
+        raise InconsistentDimensionError(f"generator {v} has length {len(v)}, expected {d}")
+    d = lengths.pop()
+    return MonomialIdeal(d, _minimal(sorted(zip(*[iter(exps)] * d)), d))
 
 
 class ReesValuationSpec(Record):
@@ -153,16 +227,30 @@ class ReesValuationSpec(Record):
     __slots__ = ("normal", "rees_integer")
 
     def __post_init__(self):
-        normal = tuple(map(int, self.normal))
+        try:
+            normal = tuple(map(operator.index, self.normal))
+        except TypeError:
+            raise ImproperIdealError(
+                f"valuation normal {self.normal!r} is not a sequence of integers"
+            ) from None
+        try:
+            rees = operator.index(self.rees_integer)
+        except TypeError:
+            raise NonPositiveError(
+                f"Rees integer must be an integer, got {self.rees_integer!r}"
+            ) from None
         object.__setattr__(self, "normal", normal)
+        object.__setattr__(self, "rees_integer", rees)
+        # a gcd of 1 also rules out the zero normal
+        if math.gcd(*normal) == 1 and min(normal) >= 0 and rees >= 1:
+            return
         if not any(normal):
             raise ZeroExponentError("valuation normal cannot be zero")
         if min(normal) < 0:
             raise ImproperIdealError("valuation normal must be nonnegative")
         if math.gcd(*normal) != 1:
             raise ImproperIdealError(f"normal {normal} is not primitive")
-        if self.rees_integer < 1:
-            raise NonPositiveError("Rees integer must be >= 1")
+        raise NonPositiveError("Rees integer must be >= 1")
 
 
 class ReesPackage(Record):
@@ -539,10 +627,10 @@ def parse_ideal(text: str) -> MonomialIdeal:
         if len(parts) != dim:
             raise ParseError(f"expected {dim} exponents, got {len(parts)}", lineno)
         try:
-            vec = tuple(int(p) for p in parts)
+            vec = tuple(map(int, parts))
         except ValueError:
             raise ParseError(f"bad exponent in {line!r}", lineno) from None
-        if any(e < 0 for e in vec):
+        if min(vec) < 0:
             raise ParseError("exponents must be nonnegative", lineno)
         gens.append(vec)
     if dim is None:

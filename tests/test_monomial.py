@@ -195,6 +195,36 @@ sorted_vectors = (
 )
 
 
+@st.composite
+def shuffled_antichains(draw):
+    """Unsorted 2D and 3D lists of up to ~60 vectors with entries up to 40:
+    an antichain (a staircase in 2D, points of one coordinate sum in 3D)
+    plus a few spoilers, each a duplicate of a member, a multiple of one
+    or any vector at all."""
+    d = draw(st.integers(2, 3))
+    size = draw(st.integers(1, 60))
+    if d == 2:
+        size = min(size, 40)
+        xs = sorted(draw(st.sets(st.integers(0, 40), min_size=size, max_size=size)))
+        ys = sorted(draw(st.sets(st.integers(0, 40), min_size=size, max_size=size)))
+        base = [v for v in zip(xs, reversed(ys)) if any(v)]
+    else:
+        total = draw(st.integers(1, 40))
+        level = [(a, b, total - a - b) for a in range(total + 1) for b in range(total + 1 - a)]
+        size = min(size, len(level))
+        base = draw(st.lists(st.sampled_from(level), min_size=size, max_size=size, unique=True))
+    if not base:
+        base = [(1,) * d]
+    member = st.sampled_from(base)
+    bump = st.tuples(*[st.integers(0, 5)] * d).filter(any)
+    spoilers = st.one_of(
+        member,
+        st.tuples(member, bump).map(lambda mb: tuple(map(operator.add, *mb))),
+        st.tuples(*[st.integers(0, 40)] * d).filter(any),
+    )
+    return draw(st.permutations(base + draw(st.lists(spoilers, max_size=3))))
+
+
 def ideal_product(a, b):
     """I * J, generated by the sums of one generator of each."""
     sums = (tuple(x + y for x, y in zip(g, h)) for g in a.generators for h in b.generators)
@@ -256,19 +286,27 @@ class TestMinimalize:
         for g in gens:
             assert any(all(x >= y for x, y in zip(g, kept)) for kept in ideal.generators)
 
-    @given(sorted_vectors)
+    @given(st.one_of(sorted_vectors, shuffled_antichains()))
     def test_matches_pairwise_minimalization(self, vecs):
         expected = {v for v in vecs if not any(w != v and divides(w, v) for w in vecs)}
         assert minimalize(vecs).generators == tuple(sorted(expected))
 
-    @given(sorted_vectors)
+    @given(st.one_of(sorted_vectors, shuffled_antichains()))
     def test_antichain_check_matches_pairwise(self, vecs):
-        if not any(divides(a, b) for a, b in itertools.combinations(vecs, 2)):
-            assert MonomialIdeal(len(vecs[0]), vecs).generators == tuple(vecs)
+        d = len(vecs[0])
+        if not any(
+            divides(a, b) or divides(b, a) for a, b in itertools.combinations(vecs, 2)
+        ):
+            assert MonomialIdeal(d, vecs).generators == tuple(sorted(vecs))
             return
-        with pytest.raises(ImproperIdealError) as err:
-            MonomialIdeal(len(vecs[0]), vecs)
-        named = re.findall(r"\([\d, ]*\)", str(err.value))
+        messages = set()
+        for order in (vecs, sorted(vecs), sorted(vecs, reverse=True)):
+            with pytest.raises(ImproperIdealError) as err:
+                MonomialIdeal(d, order)
+            messages.add(str(err.value))
+        # the verdict and the named pair do not depend on the input order
+        (message,) = messages
+        named = re.findall(r"\([\d, ]*\)", message)
         multiple, divisor = map(ast.literal_eval, named)
         assert multiple in vecs and divisor in vecs and divides(divisor, multiple)
         assert multiple != divisor or vecs.count(divisor) > 1

@@ -8,6 +8,7 @@ survives a pickle round trip.  Validation messages are pinned too.
 """
 
 import pickle
+from fractions import Fraction
 
 import pytest
 
@@ -173,6 +174,36 @@ def test_unequal_values_differ():
             lambda: monomial.MonomialIdeal(2, ((1, 1), (2, 2))),
             ImproperIdealError,
             "generators are not an antichain: (2, 2) is a multiple of (1, 1)",
+        ),
+        (
+            lambda: monomial.MonomialIdeal(2.0, ((1, 0), (0, 1))),
+            InconsistentDimensionError,
+            "dimension must be an integer, got 2.0",
+        ),
+        (
+            lambda: monomial.MonomialIdeal(2, ((1.7, 0), (0, 2))),
+            ImproperIdealError,
+            "generator (1.7, 0) is not a sequence of integers",
+        ),
+        (
+            lambda: monomial.MonomialIdeal(2, ["ab", (0, 2)]),
+            ImproperIdealError,
+            "generator 'ab' is not a sequence of integers",
+        ),
+        (
+            lambda: monomial.minimalize([(Fraction(3, 2), 0), (0, 2)]),
+            ImproperIdealError,
+            "generator (Fraction(3, 2), 0) is not a sequence of integers",
+        ),
+        (
+            lambda: monomial.ReesValuationSpec((1.5, 1), 2.5),
+            ImproperIdealError,
+            "valuation normal (1.5, 1) is not a sequence of integers",
+        ),
+        (
+            lambda: monomial.ReesValuationSpec((1, 1), 2.5),
+            NonPositiveError,
+            "Rees integer must be an integer, got 2.5",
         ),
         (
             lambda: monomial.ReesValuationSpec((0, 0), 1),
