@@ -49,45 +49,41 @@ def render_json(report: Report) -> str:
     return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
-def _is_plain(value: object) -> bool:
-    """Plain values render inline; dicts and lists of dicts get blocks."""
+def _inline(value: object) -> str | None:
+    """A value's one-line text, or None when it holds a dict (a block)."""
     if isinstance(value, dict):
-        return False
+        return None
     if isinstance(value, (list, tuple)):
-        return all(_is_plain(v) for v in value)
-    return True
-
-
-def _scalar(value: object) -> str:
+        parts = [_inline(v) for v in value]
+        return None if None in parts else "[" + ", ".join(parts) + "]"
     if isinstance(value, bool):
         return "yes" if value else "no"
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_scalar(v) for v in value) + "]"
     if value is None:
         return "none"
     return str(value)
 
 
-def _text_lines(value: object, indent: int = 0) -> list[str]:
+def _text_lines(value: dict | list | tuple, indent: int = 0) -> list[str]:
+    """The lines of a block: a dict, or a list that holds a dict."""
     pad = "  " * indent
     lines: list[str] = []
     if isinstance(value, dict):
         for key, sub in value.items():
-            if _is_plain(sub):
-                lines.append(f"{pad}{key}: {_scalar(sub)}")
-            else:
+            text = _inline(sub)
+            if text is None:
                 lines.append(f"{pad}{key}:")
                 lines.extend(_text_lines(sub, indent + 1))
-    elif isinstance(value, (list, tuple)):
-        for item in value:
-            if _is_plain(item):
-                lines.append(f"{pad}- {_scalar(item)}")
             else:
+                lines.append(f"{pad}{key}: {text}")
+    else:
+        for item in value:
+            text = _inline(item)
+            if text is None:
                 block = _text_lines(item, indent + 1)
                 lines.append(f"{pad}- {block[0].lstrip()}")
                 lines.extend(block[1:])
-    else:
-        lines.append(f"{pad}{_scalar(value)}")
+            else:
+                lines.append(f"{pad}- {text}")
     return lines
 
 

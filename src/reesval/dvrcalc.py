@@ -20,6 +20,7 @@ from .errors import (
     NonPositiveError,
     NoTranscendentalError,
     NotMultipleError,
+    read_int,
 )
 from .record import Record
 
@@ -35,10 +36,8 @@ class DVRSpec(Record):
     _defaults = {"transcendentals": 0}
 
     def __post_init__(self):
-        if self.uniformizer_exponent < 1:
-            raise NonPositiveError("uniformizer exponent must be >= 1")
-        if self.transcendentals < 0:
-            raise NonPositiveError("transcendental count must be >= 0")
+        read_int(self.uniformizer_exponent, 1, "uniformizer exponent", NonPositiveError)
+        read_int(self.transcendentals, 0, "transcendental count", NonPositiveError)
 
 
 class ExtensionStep(Record):
@@ -47,9 +46,9 @@ class ExtensionStep(Record):
     __slots__ = ("degree", "ramification", "residue_degree")
 
     def __post_init__(self):
-        for name in ("degree", "ramification", "residue_degree"):
-            if getattr(self, name) < 1:
-                raise NonPositiveError(f"{name} must be >= 1")
+        read_int(self.degree, 1, "degree", NonPositiveError)
+        read_int(self.ramification, 1, "ramification", NonPositiveError)
+        read_int(self.residue_degree, 1, "residue_degree", NonPositiveError)
 
     @property
     def invariants(self) -> tuple[int, int, int]:
@@ -86,8 +85,7 @@ def unramified_kummer_step(w: DVRSpec) -> ExtensionStep:
 
 def totally_ramified_root_step(f: int) -> ExtensionStep:
     """Adjoin an f-th root of the uniformizer: degree f, ramification f."""
-    if f < 1:
-        raise NonPositiveError(f"root order must be >= 1, got {f}")
+    f = read_int(f, 1, "root order", NonPositiveError)
     return ExtensionStep(degree=f, ramification=f, residue_degree=1)
 
 
@@ -98,8 +96,8 @@ def itoh_tower(e_j: int, e: int) -> Tower:
     ramified root step of order e/e_j.  The composite has degree e,
     ramification e/e_j, residue degree e_j, with no splitting.
     """
-    if e_j < 1 or e < 1:
-        raise NonPositiveError("both exponents must be >= 1")
+    e_j = read_int(e_j, 1, "e_j", NonPositiveError)
+    e = read_int(e, 1, "e", NonPositiveError)
     if e % e_j != 0:
         raise NotMultipleError(f"{e} is not a multiple of {e_j}")
     base = DVRSpec(uniformizer_exponent=e_j, transcendentals=1)
@@ -114,8 +112,8 @@ def general_k_extension(e: int, k: int) -> ExtensionStep:
     With d = gcd(e, k): degree k, ramification k/d, residue degree d,
     and the Fundamental Equality holds with no splitting.
     """
-    if e < 1 or k < 1:
-        raise NonPositiveError("both e and k must be >= 1")
+    e = read_int(e, 1, "e", NonPositiveError)
+    k = read_int(k, 1, "k", NonPositiveError)
     d = math.gcd(e, k)
     return ExtensionStep(degree=k, ramification=k // d, residue_degree=d)
 

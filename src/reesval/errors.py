@@ -3,7 +3,11 @@
 Two branches matter to callers: ``InputError`` covers bad inputs and
 precondition violations (CLI exit code 2), while ``VerificationError``
 means an internal cross-check failed, i.e. a bug (CLI exit code 3).
+:func:`read_int` reads an integer argument or field against a lower
+bound, raising the ``InputError`` its caller names.
 """
+
+import operator
 
 
 class CalcError(Exception):
@@ -106,3 +110,20 @@ class NonUniformError(VerificationError):
 
 class OracleDisagreement(VerificationError):
     pass
+
+
+def read_int(value, least: int, what: str, error: type[InputError]) -> int:
+    """``value`` as an int, refusing what is not an integer >= ``least``.
+
+    The value is read with ``operator.index``, so a float, a Fraction or
+    a string raises ``error`` and is never truncated; an int is returned
+    as it is.
+    """
+    if value.__class__ is not int:
+        try:
+            value = operator.index(value)
+        except TypeError:
+            raise error(f"{what} must be an integer, got {value!r}") from None
+    if value < least:
+        raise error(f"{what} must be >= {least}, got {value}")
+    return value

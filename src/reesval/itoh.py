@@ -20,6 +20,7 @@ from .errors import (
     IndexMismatchError,
     NonPositiveError,
     UnitIdealError,
+    read_int,
 )
 from .dvrcalc import general_k_extension
 from .record import Record
@@ -31,11 +32,9 @@ class ReesData(Record):
     __slots__ = ("entries",)
 
     def __post_init__(self):
-        entries = tuple(int(e) for e in self.entries)
+        entries = tuple([read_int(e, 1, "Rees integer", NonPositiveError) for e in self.entries])
         if not entries:
             raise NonPositiveError("Rees data must be nonempty")
-        if any(e < 1 for e in entries):
-            raise NonPositiveError("Rees integers must be >= 1")
         object.__setattr__(self, "entries", entries)
 
     def __len__(self) -> int:
@@ -79,11 +78,9 @@ class SemilocalIdeal(Record):
     __slots__ = ("exponents",)
 
     def __post_init__(self):
-        exps = tuple(int(e) for e in self.exponents)
+        exps = tuple([read_int(e, 0, "exponent", NonPositiveError) for e in self.exponents])
         if not exps:
             raise NonPositiveError("exponent vector must be nonempty")
-        if any(e < 0 for e in exps):
-            raise NonPositiveError("exponents must be >= 0")
         object.__setattr__(self, "exponents", exps)
 
     def __len__(self) -> int:
@@ -102,8 +99,7 @@ def itoh_structure(rees: ReesData | Sequence[int], k: int) -> ItohReport:
     the least such k is their lcm.
     """
     rd = rees_data(rees)
-    if k < 2:
-        raise BadKError(f"root order must be >= 2, got {k}")
+    k = read_int(k, 2, "root order", BadKError)
     records = []
     for e in rd.entries:
         step = general_k_extension(e, k)
@@ -159,6 +155,7 @@ def radicality_equivalence(rees: ReesData | Sequence[int], k: int) -> Equivalenc
 
     rd = rees_data(rees)
     report = itoh_structure(rd, k)
+    k = report.k
     via_tower = report.is_radical
 
     # the radical clamps each positive exponent to one, so a vector is
@@ -197,9 +194,7 @@ def semilocal_radical(a: SemilocalIdeal) -> SemilocalIdeal:
 
 def jacobson_radical(n: int) -> SemilocalIdeal:
     """Jacobson radical of a semilocal Dedekind domain with n maximal ideals."""
-    if n < 1:
-        raise NonPositiveError(f"need at least one maximal ideal, got {n}")
-    return SemilocalIdeal((1,) * n)
+    return SemilocalIdeal((1,) * read_int(n, 1, "maximal ideal count", NonPositiveError))
 
 
 def _require_nonunit(a: SemilocalIdeal) -> None:

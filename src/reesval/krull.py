@@ -29,6 +29,7 @@ from .errors import (
     NonUniformError,
     NotCommonMultipleError,
     NotMultipleError,
+    read_int,
 )
 from .dvrcalc import general_k_extension
 from .itoh import (
@@ -60,9 +61,9 @@ class SystemEntry(Record):
     _defaults = {"multiplicity": 1}
 
     def __post_init__(self):
-        for name in ("residue_degree", "ramification", "multiplicity"):
-            if getattr(self, name) < 1:
-                raise NonPositiveError(f"{name} must be >= 1")
+        read_int(self.residue_degree, 1, "residue_degree", NonPositiveError)
+        read_int(self.ramification, 1, "ramification", NonPositiveError)
+        read_int(self.multiplicity, 1, "multiplicity", NonPositiveError)
 
     @property
     def weight(self) -> int:
@@ -75,8 +76,7 @@ class ConsistentSystem(Record):
     _defaults = {"family": ""}
 
     def __post_init__(self):
-        if self.m < 1:
-            raise NonPositiveError("system degree m must be >= 1")
+        read_int(self.m, 1, "system degree m", NonPositiveError)
         if not self.per_valuation:
             raise NonPositiveError("system needs at least one valuation")
 
@@ -103,8 +103,7 @@ def _lcm_family(
 ) -> ConsistentSystem:
     """A degree k*lcm system with entry(e_j, lcm/e_j) at each valuation."""
     rd = rees_data(rees)
-    if k < 1:
-        raise NonPositiveError(f"parameter k must be >= 1, got {k}")
+    k = read_int(k, 1, "parameter k", NonPositiveError)
     m0 = rd.lcm
     per = tuple((entry(e, m0 // e),) for e in rd.entries)
     return ConsistentSystem(m=k * m0, per_valuation=per, family=family)
@@ -134,8 +133,7 @@ def build_root_adjunction_system(
 ) -> ConsistentSystem:
     """Family EXP2: the k-consistent system realized by a k-th root of u."""
     rd = rees_data(rees)
-    if k < 2:
-        raise BadKError(f"root order must be >= 2, got {k}")
+    k = read_int(k, 2, "root order", BadKError)
     per = []
     for e in rd.entries:
         step = general_k_extension(e, k)
@@ -262,9 +260,9 @@ def common_multiple_realization(rees: ReesData | Sequence[int], e: int) -> Reali
     equals e.
     """
     rd = rees_data(rees)
-    if e < 2:
-        raise BadKError(f"root order must be >= 2, got {e}")
-    if not itoh_structure(rd, e).is_radical:
+    report = itoh_structure(rd, e)
+    e = report.k
+    if not report.is_radical:
         raise NotCommonMultipleError(
             f"{e} is not a common multiple of the Rees integers {rd.entries}"
         )
@@ -288,13 +286,13 @@ class Component(Record):
     __slots__ = ("rees_integers", "participates")
 
     def __post_init__(self):
-        object.__setattr__(self, "rees_integers", tuple(int(e) for e in self.rees_integers))
-        if self.participates and not self.rees_integers:
+        entries = tuple(self.rees_integers)
+        if self.participates and not entries:
             raise NonPositiveError("participating component needs Rees data")
-        if not self.participates and self.rees_integers:
+        if not self.participates and entries:
             raise NonPositiveError("non-participating component must carry no Rees data")
-        if any(e < 1 for e in self.rees_integers):
-            raise NonPositiveError("Rees integers must be >= 1")
+        object.__setattr__(self, "rees_integers", tuple(
+            [read_int(e, 1, "Rees integer", NonPositiveError) for e in entries]))
 
 
 class ComponentPlan(Record):
@@ -327,8 +325,7 @@ def direct_sum_plan(plan: ComponentPlan, e: int) -> DirectSumReport:
     component gets a ramified-family realization of degree e; the rest
     pass through.
     """
-    if e < 1:
-        raise NonPositiveError(f"target integer must be >= 1, got {e}")
+    e = read_int(e, 1, "target integer", NonPositiveError)
     all_entries = [
         x for c in plan.components if c.participates for x in c.rees_integers
     ]

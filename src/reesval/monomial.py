@@ -38,6 +38,7 @@ from .errors import (
     OutputLimitError,
     ParseError,
     ZeroExponentError,
+    read_int,
 )
 from .record import Record
 
@@ -233,24 +234,17 @@ class ReesValuationSpec(Record):
             raise ImproperIdealError(
                 f"valuation normal {self.normal!r} is not a sequence of integers"
             ) from None
-        try:
-            rees = operator.index(self.rees_integer)
-        except TypeError:
-            raise NonPositiveError(
-                f"Rees integer must be an integer, got {self.rees_integer!r}"
-            ) from None
-        object.__setattr__(self, "normal", normal)
-        object.__setattr__(self, "rees_integer", rees)
         # a gcd of 1 also rules out the zero normal
-        if math.gcd(*normal) == 1 and min(normal) >= 0 and rees >= 1:
-            return
-        if not any(normal):
-            raise ZeroExponentError("valuation normal cannot be zero")
-        if min(normal) < 0:
-            raise ImproperIdealError("valuation normal must be nonnegative")
-        if math.gcd(*normal) != 1:
+        if math.gcd(*normal) != 1 or min(normal) < 0:
+            if not any(normal):
+                raise ZeroExponentError("valuation normal cannot be zero")
+            if min(normal) < 0:
+                raise ImproperIdealError("valuation normal must be nonnegative")
             raise ImproperIdealError(f"normal {normal} is not primitive")
-        raise NonPositiveError("Rees integer must be >= 1")
+        object.__setattr__(self, "normal", normal)
+        object.__setattr__(
+            self, "rees_integer", read_int(self.rees_integer, 1, "Rees integer", NonPositiveError)
+        )
 
 
 class ReesPackage(Record):
@@ -377,17 +371,6 @@ def rees_valuations(ideal: MonomialIdeal) -> ReesPackage:
 MAX_CLOSURE_COLUMNS = 100_000
 
 
-def _power(k: int) -> int:
-    """k as an int, refusing what is not an integer >= 1."""
-    try:
-        k = operator.index(k)
-    except TypeError:
-        raise NonPositivePowerError(f"power must be an integer, got {k!r}") from None
-    if k < 1:
-        raise NonPositivePowerError(f"power must be >= 1, got {k}")
-    return k
-
-
 def integral_closure_power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
     """Minimal generators of the integral closure of the k-th power.
 
@@ -410,7 +393,7 @@ def integral_closure_power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
     per other valuation, on each of (k*M + 1)^(d-2) lines.  Powers with
     more than MAX_CLOSURE_COLUMNS columns are refused.
     """
-    k = _power(k)
+    k = read_int(k, 1, "power", NonPositivePowerError)
     d, bound = ideal.dim, k * ideal.max_coordinate
     columns = (bound + 1) ** (d - 1)
     if columns > MAX_CLOSURE_COLUMNS:
@@ -550,7 +533,7 @@ def oracle_is_integral(ideal: MonomialIdeal, k: int, m: Sequence[int]) -> bool:
     bitmask: all of them is dominance, none is pruning (a), and a subset
     passes (b) when the union of its members' masks is all of them.
     """
-    k = _power(k)
+    k = read_int(k, 1, "power", NonPositivePowerError)
     try:
         m = tuple(map(operator.index, m))
     except TypeError:
@@ -587,7 +570,7 @@ def ideal_power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
     of I^(j-1) and one of I, so each step minimalizes those products
     instead of all C(n+k-1, k) k-fold sums of the n generators.
     """
-    k = _power(k)
+    k = read_int(k, 1, "power", NonPositivePowerError)
     power = ideal
     for _ in range(k - 1):
         sums = (

@@ -36,6 +36,7 @@ from .errors import (
     FundamentalEqualityViolation,
     NonIntegralSetupError,
     NonPositiveError,
+    read_int,
 )
 from .record import Record
 
@@ -46,8 +47,8 @@ class PuiseuxModel(Record):
     __slots__ = ("e", "k")
 
     def __post_init__(self):
-        if self.e < 1 or self.k < 1:
-            raise NonPositiveError("model requires e >= 1 and k >= 1")
+        read_int(self.e, 1, "e", NonPositiveError)
+        read_int(self.k, 1, "k", NonPositiveError)
 
 
 def _certified_gcd(a: int, b: int) -> int:
@@ -112,8 +113,7 @@ def newton_polygon_irreducible(degree: int, constant_valuation: Fraction | int) 
     (0, v(a)) to (d, 0); the polynomial is certified irreducible exactly
     when the slope v(a)/d in lowest terms has denominator d.
     """
-    if degree < 1:
-        raise NonPositiveError("degree must be >= 1")
+    degree = read_int(degree, 1, "degree", NonPositiveError)
     v = Fraction(constant_valuation)
     if v.denominator != 1:
         raise NonIntegralSetupError(f"constant term valuation {v} is not an integer")

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -5,6 +7,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reesval.cli import main
 
@@ -111,11 +115,11 @@ class TestTowerCommand:
         assert json.loads(out)["payload"]["agreement"] is True
 
     def test_rejects_zero(self, capsys):
-        for e, k in (("0", "2"), ("3", "0")):
+        for e, k, name in (("0", "2", "e"), ("3", "0", "k")):
             code, out, err = run_cli(capsys, "tower", "--e", e, "--k", k, "--oracle")
             assert code == 2
             assert out == ""
-            assert err == "error: both e and k must be >= 1\n"
+            assert err == f"error: {name} must be >= 1, got 0\n"
 
 
 class TestKrullCommand:
@@ -406,3 +410,74 @@ def test_unknown_flag_exits_two():
         text=True,
     )
     assert proc.returncode == 2
+
+
+# The robustness contract: on any argv and any ideal file, main answers
+# (0) or refuses (2 for bad input, 3 for a failed cross-check) within a
+# second, and prints nothing on stdout unless it answers.  Integers reach
+# 10^12 and exponents 10^9; small values keep the computing paths busy,
+# and repeated branches make well-formed flags twice as likely as text.
+_INTEGER = st.one_of(st.integers(-3, 40), st.integers(-3, 10**12))
+_FLAG = st.one_of(_INTEGER.map(str), st.integers(1, 40).map(str), st.text(max_size=8))
+_REES_LIST = st.lists(_INTEGER, min_size=1, max_size=6).map(lambda xs: ",".join(map(str, xs)))
+_REES = st.one_of(_REES_LIST, _REES_LIST, st.text(max_size=12))
+_EXPONENT = st.one_of(st.integers(0, 8), st.integers(0, 10**9))
+
+
+@st.composite
+def _ideal_bytes(draw):
+    dim = draw(st.integers(1, 3))
+    gens = draw(st.lists(st.lists(_EXPONENT, min_size=dim, max_size=dim), min_size=1, max_size=8))
+    return (f"dim {dim}\n" + "".join(" ".join(map(str, g)) + "\n" for g in gens)).encode()
+
+
+@st.composite
+def _cli_calls(draw):
+    """An argv for one of the six subcommands, and the ideal file's bytes or None."""
+    command = draw(st.sampled_from(["rees", "closure", "itoh", "tower", "krull", "co2"]))
+    data = None
+    if command in ("rees", "closure"):
+        data = draw(st.one_of(_ideal_bytes(), st.binary(max_size=64)))
+        argv = [command, "IDEAL"]
+        if command == "closure":
+            argv += ["--k", draw(_FLAG)]
+    elif command == "itoh":
+        argv = ["itoh", "--rees", draw(_REES), "--k", draw(_FLAG)]
+    elif command == "tower":
+        argv = ["tower", "--e", draw(_FLAG), "--k", draw(_FLAG)]
+        argv += draw(st.sampled_from([[], ["--oracle"]]))
+    elif command == "krull":
+        family = draw(st.sampled_from(["S", "T", "U", "EXP2", "X", ""]))
+        argv = ["krull", "--rees", draw(_REES), "--k", draw(_FLAG), "--family", family]
+        argv += draw(st.lists(st.sampled_from([
+            "--has-extra-dvr", "--has-separable-approximation", "--residues-algebraically-closed"
+        ]), unique=True))
+    else:
+        segments = st.lists(st.one_of(st.just(""), _REES), min_size=1, max_size=4)
+        # a highly composite e is often a multiple of the lcm, so plans are built
+        e = draw(st.one_of(_FLAG, st.sampled_from(["2520", "720720", "6983776800"])))
+        argv = ["co2", "--components", ";".join(draw(segments)), "--e", e]
+    if draw(st.booleans()):
+        argv.insert(0, "--json")
+    return argv, data
+
+
+@settings(deadline=None, max_examples=300)
+@given(call=_cli_calls())
+def test_main_answers_or_refuses_within_a_second(tmp_path_factory, call):
+    argv, data = call
+    if data is not None:
+        path = tmp_path_factory.getbasetemp() / "robust_ideal.txt"
+        path.write_bytes(data)
+        argv = [str(path) if arg == "IDEAL" else arg for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses a malformed argv
+            code = exc.code
+    assert time.perf_counter() - start < 1.0, argv
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    if code:
+        assert out.getvalue() == "", argv

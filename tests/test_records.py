@@ -14,6 +14,7 @@ import pytest
 
 from reesval import cli, dvrcalc, itoh, krull, monomial, puiseux
 from reesval.errors import (
+    BadKError,
     EmptyGeneratorsError,
     ImproperIdealError,
     InconsistentDimensionError,
@@ -28,6 +29,7 @@ ENTRY = krull.SystemEntry(1, 3, 2)
 COMPONENT = krull.Component((2, 3), True)
 OUTCOME = krull.ComponentOutcome(False, (), None)
 REALIZATION = krull.RealizationReport(1, 5, 6)
+PLAN = krull.ComponentPlan((COMPONENT,))
 VALUATION = itoh.ItohValuationRecord(2, 2, 3, 1)
 
 # one valid argument tuple per record class, in field order
@@ -110,19 +112,27 @@ def test_unequal_values_differ():
 @pytest.mark.parametrize(
     "build, error, message",
     [
-        (lambda: dvrcalc.DVRSpec(0), NonPositiveError, "uniformizer exponent must be >= 1"),
-        (lambda: dvrcalc.DVRSpec(1, -1), NonPositiveError, "transcendental count must be >= 0"),
-        (lambda: dvrcalc.ExtensionStep(1, 0, 1), NonPositiveError, "ramification must be >= 1"),
-        (lambda: puiseux.PuiseuxModel(0, 3), NonPositiveError, "model requires e >= 1 and k >= 1"),
+        (lambda: dvrcalc.DVRSpec(0), NonPositiveError, "uniformizer exponent must be >= 1, got 0"),
+        (
+            lambda: dvrcalc.DVRSpec(1, -1),
+            NonPositiveError,
+            "transcendental count must be >= 0, got -1",
+        ),
+        (
+            lambda: dvrcalc.ExtensionStep(1, 0, 1),
+            NonPositiveError,
+            "ramification must be >= 1, got 0",
+        ),
+        (lambda: puiseux.PuiseuxModel(0, 3), NonPositiveError, "e must be >= 1, got 0"),
         (lambda: itoh.ReesData(()), NonPositiveError, "Rees data must be nonempty"),
-        (lambda: itoh.ReesData((0,)), NonPositiveError, "Rees integers must be >= 1"),
+        (lambda: itoh.ReesData((0,)), NonPositiveError, "Rees integer must be >= 1, got 0"),
         (lambda: itoh.SemilocalIdeal(()), NonPositiveError, "exponent vector must be nonempty"),
-        (lambda: itoh.SemilocalIdeal((-1,)), NonPositiveError, "exponents must be >= 0"),
-        (lambda: krull.SystemEntry(1, 1, 0), NonPositiveError, "multiplicity must be >= 1"),
+        (lambda: itoh.SemilocalIdeal((-1,)), NonPositiveError, "exponent must be >= 0, got -1"),
+        (lambda: krull.SystemEntry(1, 1, 0), NonPositiveError, "multiplicity must be >= 1, got 0"),
         (
             lambda: krull.ConsistentSystem(0, ((ENTRY,),)),
             NonPositiveError,
-            "system degree m must be >= 1",
+            "system degree m must be >= 1, got 0",
         ),
         (
             lambda: krull.ConsistentSystem(1, ()),
@@ -139,7 +149,7 @@ def test_unequal_values_differ():
             NonPositiveError,
             "non-participating component must carry no Rees data",
         ),
-        (lambda: krull.Component((0,), True), NonPositiveError, "Rees integers must be >= 1"),
+        (lambda: krull.Component((0,), True), NonPositiveError, "Rees integer must be >= 1, got 0"),
         (
             lambda: krull.ComponentPlan((krull.Component((), False),)),
             NonPositiveError,
@@ -233,13 +243,50 @@ def test_unequal_values_differ():
         (
             lambda: monomial.ReesValuationSpec((1, 1), 0),
             NonPositiveError,
-            "Rees integer must be >= 1",
+            "Rees integer must be >= 1, got 0",
         ),
         (
             lambda: monomial.ReesPackage(IDEAL, (SPEC, SPEC)),
             ImproperIdealError,
             "duplicate valuation normals",
         ),
+    ]
+    + [
+        # each integer input of the tower layer refuses a float, a Fraction
+        # and a numeric string, none of them truncated
+        (
+            lambda call=call, value=value: call(value),
+            error,
+            f"{what} must be an integer, got {value!r}",
+        )
+        for call, error, what in [
+            (lambda x: dvrcalc.DVRSpec(x), NonPositiveError, "uniformizer exponent"),
+            (lambda x: dvrcalc.DVRSpec(1, x), NonPositiveError, "transcendental count"),
+            (lambda x: dvrcalc.ExtensionStep(x, 1, 1), NonPositiveError, "degree"),
+            (lambda x: dvrcalc.totally_ramified_root_step(x), NonPositiveError, "root order"),
+            (lambda x: dvrcalc.itoh_tower(x, 6), NonPositiveError, "e_j"),
+            (lambda x: dvrcalc.general_k_extension(4, x), NonPositiveError, "k"),
+            (
+                lambda x: puiseux.oracle_extension(puiseux.PuiseuxModel(x, 3)),
+                NonPositiveError,
+                "e",
+            ),
+            (lambda x: puiseux.newton_polygon_irreducible(x, -1), NonPositiveError, "degree"),
+            (lambda x: itoh.ReesData((x, 3)), NonPositiveError, "Rees integer"),
+            (lambda x: itoh.SemilocalIdeal((1, x)), NonPositiveError, "exponent"),
+            (lambda x: itoh.itoh_structure((2, 3), x), BadKError, "root order"),
+            (lambda x: itoh.radicality_equivalence((2, 3), x), BadKError, "root order"),
+            (lambda x: itoh.jacobson_radical(x), NonPositiveError, "maximal ideal count"),
+            (lambda x: krull.SystemEntry(1, 1, x), NonPositiveError, "multiplicity"),
+            (lambda x: krull.ConsistentSystem(x, ((ENTRY,),)), NonPositiveError, "system degree m"),
+            (lambda x: krull.build_system("S", (2, 3), x), NonPositiveError, "parameter k"),
+            (lambda x: krull.build_system("EXP2", (2, 3), x), BadKError, "root order"),
+            (lambda x: krull.common_multiple_realization((2, 3), x), BadKError, "root order"),
+            (lambda x: krull.Component((x,), True), NonPositiveError, "Rees integer"),
+            (lambda x: krull.direct_sum_plan(PLAN, x), NonPositiveError, "target integer"),
+            (lambda x: krull.projective_fullness_check((x, 3)), NonPositiveError, "Rees integer"),
+        ]
+        for value in (6.0, Fraction(5, 2), "6")
     ],
 )
 def test_validation_messages(build, error, message):
