@@ -1,6 +1,6 @@
 """Exact-arithmetic calculus of Rees valuations and their root extensions.
 
-The package computes, with integers and rationals only: Rees valuations
+The package computes, with integers only: Rees valuations
 and Rees integers of monomial ideals from their Newton polyhedra;
 integral closures of powers, with an independent cone-membership
 oracle; the invariants (degree, ramification, residue degree) of the

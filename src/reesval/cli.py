@@ -21,6 +21,7 @@ from .errors import (
     InputError,
     NonUniformError,
     OracleDisagreement,
+    OutputLimitError,
     VerificationError,
 )
 from .record import Record
@@ -28,6 +29,10 @@ from .record import Record
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_VERIFICATION = 3
+
+# the krull subcommand prints one exponent per maximal ideal, so it
+# refuses realizations with more maximal ideals than this
+MAX_MAXIMAL_IDEALS = 100_000
 
 
 class Report(Record):
@@ -265,6 +270,11 @@ def cmd_krull(args: argparse.Namespace) -> Report:
             "extended ideal exponents are not uniform; realization report omitted"
         )
     else:
+        if plan.maximal_ideal_count > MAX_MAXIMAL_IDEALS:
+            raise OutputLimitError(
+                f"realization has {plan.maximal_ideal_count} maximal ideals, "
+                f"above the limit of {MAX_MAXIMAL_IDEALS}"
+            )
         payload["realization"] = {
             "extension_degree": plan.extension_degree,
             "maximal_ideal_count": plan.maximal_ideal_count,

@@ -31,7 +31,6 @@ from .errors import (
     NotMultipleError,
     read_int,
 )
-from .dvrcalc import general_k_extension
 from .itoh import (
     ReesData,
     SemilocalIdeal,
@@ -48,10 +47,6 @@ FAMILY_SPLIT = "S"
 FAMILY_INERT = "T"
 FAMILY_RAMIFIED = "U"
 FAMILY_ROOT = "EXP2"
-
-# the krull subcommand prints one exponent per maximal ideal, so
-# realize_plan refuses systems with more maximal ideals than this
-MAX_MAXIMAL_IDEALS = 100_000
 
 
 class SystemEntry(Record):
@@ -132,13 +127,11 @@ def build_root_adjunction_system(
     rees: ReesData | Sequence[int], k: int
 ) -> ConsistentSystem:
     """Family EXP2: the k-consistent system realized by a k-th root of u."""
-    rd = rees_data(rees)
-    k = read_int(k, 2, "root order", BadKError)
-    per = []
-    for e in rd.entries:
-        step = general_k_extension(e, k)
-        per.append((SystemEntry(step.residue_degree, step.ramification),))
-    return ConsistentSystem(m=k, per_valuation=tuple(per), family=FAMILY_ROOT)
+    report = itoh_structure(rees, k)
+    per = tuple(
+        (SystemEntry(r.residue_degree, r.ramification),) for r in report.per_valuation
+    )
+    return ConsistentSystem(m=report.k, per_valuation=per, family=FAMILY_ROOT)
 
 
 _BUILDERS = {
@@ -227,24 +220,18 @@ def realize_plan(system: ConsistentSystem, rees: ReesData | Sequence[int]) -> Re
         raise IndexMismatchError(
             f"system has {len(system.per_valuation)} valuations, Rees data has {len(rd)}"
         )
-    count = sum(system.extension_count(j) for j in range(len(rd)))
-    if count > MAX_MAXIMAL_IDEALS:
-        raise BadKError(
-            f"realization has {count} maximal ideals, above the limit of {MAX_MAXIMAL_IDEALS}"
-        )
-    # one exponent per entry; each stands for multiplicity maximal ideals
-    per_entry = [
-        (e_j * entry.ramification, entry.multiplicity)
+    # one exponent per system entry; each stands for multiplicity maximal ideals
+    exponents = tuple(
+        e_j * entry.ramification
         for e_j, entries in zip(rd.entries, system.per_valuation)
         for entry in entries
-    ]
-    first = per_entry[0][0]
-    if any(x != first for x, _ in per_entry):
-        exponents = tuple(x for x, mult in per_entry for _ in range(mult))
+    )
+    first = exponents[0]
+    if any(x != first for x in exponents):
         raise NonUniformError(f"extended ideal exponents are not uniform: {exponents}")
     return RealizationReport(
         extension_degree=system.m,
-        maximal_ideal_count=count,
+        maximal_ideal_count=sum(system.extension_count(j) for j in range(len(rd))),
         jacobson_exponent=first,
     )
 

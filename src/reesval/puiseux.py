@@ -5,32 +5,28 @@ k-th root of u produces one extension whose invariants the gcd calculus
 in :mod:`reesval.dvrcalc` predicts in closed form, by calling
 ``math.gcd(e, k)`` and dividing.  This module reaches the same two
 numbers by two other routes, each polynomial in the bit length of e
-and k:
+and k and computed with integers only:
 
 * ramification is the index of Z in the value group Z + (e/k)Z.
-  Scaled by k that group is kZ + eZ, and :func:`subgroup_generated`
-  reduces it to one generator g, the gcd of the numerators over the
-  lcm of the denominators; the index is k/g.  The gcd comes from the
-  extended Euclidean algorithm, returned only with Bezout coefficients
-  s, t that pass s*k + t*e == g, g | k and g | e, so this route takes
-  no ``math.gcd`` of e and k and builds no ``Fraction`` on them either;
+  Scaled by k that group is kZ + eZ = gZ, where g is the gcd of k and e
+  from the extended Euclidean algorithm, returned only with Bezout
+  coefficients s, t that pass s*k + t*e == g, g | k and g | e; the
+  index is k/g;
 * the residue degree is the order d of the smallest value-zero monomial
   in u^(1/k) and the uniformizer, whose residue tau satisfies
   tau^d = w for the unit w = v/s of s-valuation -1 over the rational
   function residue field kappa(s).  That order is read off the
   continued-fraction convergents of e/k, built with ``divmod`` alone
-  and checked by multiplication, so this route calls neither
-  ``math.gcd`` nor ``Fraction`` on (e, k).  The degree of X^d - w is
-  certified by a Newton-polygon slope criterion.
+  and checked by multiplication.  The degree of X^d - w is certified
+  by a Newton-polygon slope criterion.
 
-:func:`oracle_extension` compares the two with the Fundamental Equality.
+Neither route calls ``math.gcd``.  :func:`oracle_extension` compares
+the two with the Fundamental Equality.
 """
 
 from __future__ import annotations
 
-import math
-from collections.abc import Iterable
-from fractions import Fraction
+import operator
 
 from .errors import (
     FundamentalEqualityViolation,
@@ -52,7 +48,7 @@ class PuiseuxModel(Record):
 
 
 def _certified_gcd(a: int, b: int) -> int:
-    """gcd(a, b) for a >= 1 and b >= 1 by the extended Euclidean algorithm.
+    """gcd(a, b) for a >= 0 and b >= 1 by the extended Euclidean algorithm.
 
     The result g is returned only with Bezout coefficients that pass
     s*a + t*b == g, and with g | a and g | b: every common divisor of a
@@ -69,55 +65,32 @@ def _certified_gcd(a: int, b: int) -> int:
     return g
 
 
-def subgroup_generated(xs: Iterable[Fraction | int]) -> Fraction:
-    """Generator of the subgroup of Q spanned by finitely many nonnegative rationals.
-
-    Such a subgroup is cyclic, g*Z for a unique nonnegative rational g.
-    Each entry, an int or a reduced Fraction, is read as its integer
-    (numerator, denominator) pair, and g is gcd(numerators) over
-    lcm(denominators), the gcd by :func:`_certified_gcd`; zero entries
-    add nothing, and the empty list gives g = 0, the trivial group.
-    Only the result is built as a Fraction.
-    """
-    num = 0
-    den = 1
-    for x in xs:
-        if x < 0:
-            raise NonPositiveError(f"subgroup entries must be nonnegative, got {x}")
-        if x:
-            num = _certified_gcd(num, x.numerator) if num else x.numerator
-            den = math.lcm(den, x.denominator)
-    return Fraction(num, den)
-
-
 def oracle_ramification(model: PuiseuxModel) -> int:
     """Index of Z inside the value group extended by the value e/k of u^(1/k).
 
-    The group Z + (e/k)Z is computed scaled by k, as the subgroup of Z
-    spanned by k and e, so every entry is an integer.
+    The group Z + (e/k)Z is computed scaled by k, as the subgroup kZ + eZ
+    of Z, whose generator is the certified gcd of k and e.
     """
-    generator = subgroup_generated((model.k, model.e))
-    index, rest = divmod(model.k, generator.numerator)
-    if rest:
-        raise FundamentalEqualityViolation(
-            f"extended value group {generator / model.k} does not contain Z"
-        )
-    return index
+    return model.k // _certified_gcd(model.k, model.e)
 
 
-def newton_polygon_irreducible(degree: int, constant_valuation: Fraction | int) -> bool:
+def newton_polygon_irreducible(degree: int, constant_valuation: int) -> bool:
     """Certify irreducibility of X^d - a by the one-segment slope criterion.
 
-    ``degree`` is d >= 1 and ``constant_valuation`` the s-valuation v(a)
-    of the constant term.  The polygon is the single segment from
-    (0, v(a)) to (d, 0); the polynomial is certified irreducible exactly
-    when the slope v(a)/d in lowest terms has denominator d.
+    ``degree`` is d >= 1 and ``constant_valuation`` the integer
+    s-valuation v(a) of the constant term.  The polygon is the single
+    segment from (0, v(a)) to (d, 0); the polynomial is certified
+    irreducible exactly when the slope v(a)/d in lowest terms has
+    denominator d, that is when v(a) and d are coprime.
     """
     degree = read_int(degree, 1, "degree", NonPositiveError)
-    v = Fraction(constant_valuation)
-    if v.denominator != 1:
-        raise NonIntegralSetupError(f"constant term valuation {v} is not an integer")
-    return (v / degree).denominator == degree
+    try:
+        v = operator.index(constant_valuation)
+    except TypeError:
+        raise NonIntegralSetupError(
+            f"constant term valuation must be an integer, got {constant_valuation!r}"
+        ) from None
+    return _certified_gcd(abs(v), degree) == 1
 
 
 def oracle_residue_degree(model: PuiseuxModel) -> int:

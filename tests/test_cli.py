@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reesval.cli import main
+from reesval.cli import MAX_MAXIMAL_IDEALS, main
 
 GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden" / "cli_text.json"
 
@@ -172,6 +172,22 @@ class TestKrullCommand:
             "error: realization has 5000000000 maximal ideals, above the limit of 100000\n"
         )
 
+    def test_maximal_ideal_limit(self, capsys):
+        # family S over Rees data (1,) has k maximal ideals, one line each
+        code, out, _ = run_cli(
+            capsys, "krull", "--rees", "1", "--k", str(MAX_MAXIMAL_IDEALS), "--family", "S"
+        )
+        assert code == 0
+        assert f"maximal_ideal_count: {MAX_MAXIMAL_IDEALS}" in out
+        code, out, err = run_cli(
+            capsys, "krull", "--rees", "1", "--k", str(MAX_MAXIMAL_IDEALS + 1), "--family", "S"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: realization has 100001 maximal ideals, above the limit of 100000\n"
+        )
+
     def test_root_family_non_uniform_warns(self, capsys):
         code, out, err = run_cli(
             capsys, "krull", "--rees", "2,3", "--k", "4", "--family", "EXP2"
@@ -211,14 +227,15 @@ class TestCo2Command:
         assert out == ""
         assert err == "error: target integer must be >= 1, got 0\n"
 
-    def test_realization_above_the_limit_is_refused(self, capsys):
-        # one Rees integer of 100 001 gives that many maximal ideals
+    def test_realization_with_many_maximal_ideals_answers(self, capsys):
+        # one Rees integer of 100 001 gives that many maximal ideals; co2
+        # prints their count, not one line each
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "co2", "--components", "100001", "--e", "100001")
         assert time.perf_counter() - start < 1.0
-        assert code == 2
-        assert out == ""
-        assert err == "error: realization has 100001 maximal ideals, above the limit of 100000\n"
+        assert code == 0
+        assert "maximal_ideal_count: 100001" in out
+        assert err == ""
 
     @pytest.mark.parametrize("components", ["2,0", "0;"])
     def test_zero_rees_integer_is_an_input_error(self, capsys, components):

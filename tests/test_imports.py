@@ -101,8 +101,9 @@ EVERY_COMMAND = [
     ("co2", "--components", "2,3;", "--e", "6"),
 ]
 
-# dataclasses pulls in inspect, ast, dis and tokenize at start-up
-HEAVY = {"dataclasses", "inspect"}
+# dataclasses pulls in inspect, ast, dis and tokenize at start-up, and
+# fractions pulls in decimal; the library computes with integers only
+HEAVY = {"dataclasses", "inspect", "fractions", "decimal"}
 
 
 @pytest.fixture

@@ -18,6 +18,7 @@ from reesval.errors import (
     EmptyGeneratorsError,
     ImproperIdealError,
     InconsistentDimensionError,
+    NonIntegralSetupError,
     NonPositiveError,
     ZeroExponentError,
 )
@@ -112,179 +113,271 @@ def test_unequal_values_differ():
 @pytest.mark.parametrize(
     "build, error, message",
     [
-        (lambda: dvrcalc.DVRSpec(0), NonPositiveError, "uniformizer exponent must be >= 1, got 0"),
-        (
+        pytest.param(
+            lambda: dvrcalc.DVRSpec(0),
+            NonPositiveError,
+            "uniformizer exponent must be >= 1, got 0",
+            id="DVRSpec-zero-exponent",
+        ),
+        pytest.param(
             lambda: dvrcalc.DVRSpec(1, -1),
             NonPositiveError,
             "transcendental count must be >= 0, got -1",
+            id="DVRSpec-negative-transcendentals",
         ),
-        (
+        pytest.param(
             lambda: dvrcalc.ExtensionStep(1, 0, 1),
             NonPositiveError,
             "ramification must be >= 1, got 0",
+            id="ExtensionStep-zero-ramification",
         ),
-        (lambda: puiseux.PuiseuxModel(0, 3), NonPositiveError, "e must be >= 1, got 0"),
-        (lambda: itoh.ReesData(()), NonPositiveError, "Rees data must be nonempty"),
-        (lambda: itoh.ReesData((0,)), NonPositiveError, "Rees integer must be >= 1, got 0"),
-        (lambda: itoh.SemilocalIdeal(()), NonPositiveError, "exponent vector must be nonempty"),
-        (lambda: itoh.SemilocalIdeal((-1,)), NonPositiveError, "exponent must be >= 0, got -1"),
-        (lambda: krull.SystemEntry(1, 1, 0), NonPositiveError, "multiplicity must be >= 1, got 0"),
-        (
+        pytest.param(
+            lambda: puiseux.PuiseuxModel(0, 3),
+            NonPositiveError,
+            "e must be >= 1, got 0",
+            id="PuiseuxModel-zero-e",
+        ),
+        pytest.param(
+            lambda: itoh.ReesData(()),
+            NonPositiveError,
+            "Rees data must be nonempty",
+            id="ReesData-empty",
+        ),
+        pytest.param(
+            lambda: itoh.ReesData((0,)),
+            NonPositiveError,
+            "Rees integer must be >= 1, got 0",
+            id="ReesData-zero",
+        ),
+        pytest.param(
+            lambda: itoh.SemilocalIdeal(()),
+            NonPositiveError,
+            "exponent vector must be nonempty",
+            id="SemilocalIdeal-empty",
+        ),
+        pytest.param(
+            lambda: itoh.SemilocalIdeal((-1,)),
+            NonPositiveError,
+            "exponent must be >= 0, got -1",
+            id="SemilocalIdeal-negative",
+        ),
+        pytest.param(
+            lambda: krull.SystemEntry(1, 1, 0),
+            NonPositiveError,
+            "multiplicity must be >= 1, got 0",
+            id="SystemEntry-zero-multiplicity",
+        ),
+        pytest.param(
             lambda: krull.ConsistentSystem(0, ((ENTRY,),)),
             NonPositiveError,
             "system degree m must be >= 1, got 0",
+            id="ConsistentSystem-zero-m",
         ),
-        (
+        pytest.param(
             lambda: krull.ConsistentSystem(1, ()),
             NonPositiveError,
             "system needs at least one valuation",
+            id="ConsistentSystem-no-valuation",
         ),
-        (
+        pytest.param(
             lambda: krull.Component((), True),
             NonPositiveError,
             "participating component needs Rees data",
+            id="Component-participating-without-data",
         ),
-        (
+        pytest.param(
             lambda: krull.Component((2,), False),
             NonPositiveError,
             "non-participating component must carry no Rees data",
+            id="Component-non-participating-with-data",
         ),
-        (lambda: krull.Component((0,), True), NonPositiveError, "Rees integer must be >= 1, got 0"),
-        (
+        pytest.param(
+            lambda: krull.Component((0,), True),
+            NonPositiveError,
+            "Rees integer must be >= 1, got 0",
+            id="Component-zero",
+        ),
+        pytest.param(
             lambda: krull.ComponentPlan((krull.Component((), False),)),
             NonPositiveError,
             "at least one component must participate",
+            id="ComponentPlan-none-participates",
         ),
-        (
+        pytest.param(
             lambda: monomial.MonomialIdeal(4, ((1, 0, 0, 0),)),
             InconsistentDimensionError,
             "dimension must be 1..3, got 4",
+            id="MonomialIdeal-dim-4",
         ),
-        (
+        pytest.param(
             lambda: monomial.MonomialIdeal(2, ()),
             EmptyGeneratorsError,
             "a monomial ideal needs at least one generator",
+            id="MonomialIdeal-no-generator",
         ),
-        (
+        pytest.param(
             lambda: monomial.MonomialIdeal(2, ((1,),)),
             InconsistentDimensionError,
             "generator (1,) has length 1, expected 2",
+            id="MonomialIdeal-short-generator",
         ),
-        (
+        pytest.param(
             lambda: monomial.MonomialIdeal(2, ((-1, 2),)),
             ImproperIdealError,
             "negative exponent in generator (-1, 2)",
+            id="MonomialIdeal-negative-exponent",
         ),
-        (
+        pytest.param(
             lambda: monomial.MonomialIdeal(2, ((0, 0),)),
             ImproperIdealError,
             "the unit monomial cannot generate a proper ideal",
+            id="MonomialIdeal-unit",
         ),
-        (
+        pytest.param(
             lambda: monomial.MonomialIdeal(2, ((1, 1), (2, 2))),
             ImproperIdealError,
             "generators are not an antichain: (2, 2) is a multiple of (1, 1)",
+            id="MonomialIdeal-not-antichain",
         ),
-        (
+        pytest.param(
             lambda: monomial.MonomialIdeal(2.0, ((1, 0), (0, 1))),
             InconsistentDimensionError,
             "dimension must be an integer, got 2.0",
+            id="MonomialIdeal-float-dim",
         ),
-        (
+        pytest.param(
             lambda: monomial.MonomialIdeal(2, ((1.7, 0), (0, 2))),
             ImproperIdealError,
             "generator (1.7, 0) is not a sequence of integers",
+            id="MonomialIdeal-float-exponent",
         ),
-        (
+        pytest.param(
             lambda: monomial.MonomialIdeal(2, ["ab", (0, 2)]),
             ImproperIdealError,
             "generator 'ab' is not a sequence of integers",
+            id="MonomialIdeal-string-generator",
         ),
-        (
+        pytest.param(
             lambda: monomial.minimalize([(Fraction(3, 2), 0), (0, 2)]),
             ImproperIdealError,
             "generator (Fraction(3, 2), 0) is not a sequence of integers",
+            id="minimalize-fraction-exponent",
         ),
-        (
+        pytest.param(
             lambda: monomial.ReesValuationSpec((1.5, 1), 2.5),
             ImproperIdealError,
             "valuation normal (1.5, 1) is not a sequence of integers",
+            id="ReesValuationSpec-float-normal",
         ),
-        (
+        pytest.param(
             lambda: monomial.ReesValuationSpec((1, 1), 2.5),
             NonPositiveError,
             "Rees integer must be an integer, got 2.5",
+            id="ReesValuationSpec-float-rees-integer",
         ),
-        (
+        pytest.param(
             lambda: monomial.ReesValuationSpec((0, 0), 1),
             ZeroExponentError,
             "valuation normal cannot be zero",
+            id="ReesValuationSpec-zero-normal",
         ),
-        (
+        pytest.param(
             lambda: monomial.ReesValuationSpec((-1, 1), 1),
             ImproperIdealError,
             "valuation normal must be nonnegative",
+            id="ReesValuationSpec-negative-2d",
         ),
-        (
+        pytest.param(
             lambda: monomial.ReesValuationSpec((2, 2), 1),
             ImproperIdealError,
             "normal (2, 2) is not primitive",
+            id="ReesValuationSpec-imprimitive-2d",
         ),
-        (
+        pytest.param(
             lambda: monomial.ReesValuationSpec((0, 4, 0), 1),
             ImproperIdealError,
             "normal (0, 4, 0) is not primitive",
+            id="ReesValuationSpec-imprimitive-3d",
         ),
-        (
+        pytest.param(
             lambda: monomial.ReesValuationSpec((0, -1, 1), 1),
             ImproperIdealError,
             "valuation normal must be nonnegative",
+            id="ReesValuationSpec-negative-3d",
         ),
-        (
+        pytest.param(
             lambda: monomial.ReesValuationSpec((1, 1), 0),
             NonPositiveError,
             "Rees integer must be >= 1, got 0",
+            id="ReesValuationSpec-zero-rees-integer",
         ),
-        (
+        pytest.param(
             lambda: monomial.ReesPackage(IDEAL, (SPEC, SPEC)),
             ImproperIdealError,
             "duplicate valuation normals",
+            id="ReesPackage-duplicate-normals",
+        ),
+        pytest.param(
+            lambda: puiseux.newton_polygon_irreducible(2, Fraction(-2, 1)),
+            NonIntegralSetupError,
+            "constant term valuation must be an integer, got Fraction(-2, 1)",
+            id="newton_polygon_irreducible-fraction-valuation",
         ),
     ]
     + [
         # each integer input of the tower layer refuses a float, a Fraction
         # and a numeric string, none of them truncated
-        (
+        pytest.param(
             lambda call=call, value=value: call(value),
             error,
             f"{what} must be an integer, got {value!r}",
+            id=f"{site}-{type(value).__name__}",
         )
-        for call, error, what in [
-            (lambda x: dvrcalc.DVRSpec(x), NonPositiveError, "uniformizer exponent"),
-            (lambda x: dvrcalc.DVRSpec(1, x), NonPositiveError, "transcendental count"),
-            (lambda x: dvrcalc.ExtensionStep(x, 1, 1), NonPositiveError, "degree"),
-            (lambda x: dvrcalc.totally_ramified_root_step(x), NonPositiveError, "root order"),
-            (lambda x: dvrcalc.itoh_tower(x, 6), NonPositiveError, "e_j"),
-            (lambda x: dvrcalc.general_k_extension(4, x), NonPositiveError, "k"),
+        for site, call, error, what in [
+            ("DVRSpec-exponent", lambda x: dvrcalc.DVRSpec(x), NonPositiveError,
+             "uniformizer exponent"),
+            ("DVRSpec-transcendentals", lambda x: dvrcalc.DVRSpec(1, x), NonPositiveError,
+             "transcendental count"),
+            ("ExtensionStep", lambda x: dvrcalc.ExtensionStep(x, 1, 1), NonPositiveError,
+             "degree"),
+            ("totally_ramified_root_step", lambda x: dvrcalc.totally_ramified_root_step(x),
+             NonPositiveError, "root order"),
+            ("itoh_tower", lambda x: dvrcalc.itoh_tower(x, 6), NonPositiveError, "e_j"),
+            ("general_k_extension", lambda x: dvrcalc.general_k_extension(4, x),
+             NonPositiveError, "k"),
             (
+                "PuiseuxModel",
                 lambda x: puiseux.oracle_extension(puiseux.PuiseuxModel(x, 3)),
                 NonPositiveError,
                 "e",
             ),
-            (lambda x: puiseux.newton_polygon_irreducible(x, -1), NonPositiveError, "degree"),
-            (lambda x: itoh.ReesData((x, 3)), NonPositiveError, "Rees integer"),
-            (lambda x: itoh.SemilocalIdeal((1, x)), NonPositiveError, "exponent"),
-            (lambda x: itoh.itoh_structure((2, 3), x), BadKError, "root order"),
-            (lambda x: itoh.radicality_equivalence((2, 3), x), BadKError, "root order"),
-            (lambda x: itoh.jacobson_radical(x), NonPositiveError, "maximal ideal count"),
-            (lambda x: krull.SystemEntry(1, 1, x), NonPositiveError, "multiplicity"),
-            (lambda x: krull.ConsistentSystem(x, ((ENTRY,),)), NonPositiveError, "system degree m"),
-            (lambda x: krull.build_system("S", (2, 3), x), NonPositiveError, "parameter k"),
-            (lambda x: krull.build_system("EXP2", (2, 3), x), BadKError, "root order"),
-            (lambda x: krull.common_multiple_realization((2, 3), x), BadKError, "root order"),
-            (lambda x: krull.Component((x,), True), NonPositiveError, "Rees integer"),
-            (lambda x: krull.direct_sum_plan(PLAN, x), NonPositiveError, "target integer"),
-            (lambda x: krull.projective_fullness_check((x, 3)), NonPositiveError, "Rees integer"),
+            ("newton_polygon_irreducible", lambda x: puiseux.newton_polygon_irreducible(x, -1),
+             NonPositiveError, "degree"),
+            ("ReesData", lambda x: itoh.ReesData((x, 3)), NonPositiveError, "Rees integer"),
+            ("SemilocalIdeal", lambda x: itoh.SemilocalIdeal((1, x)), NonPositiveError,
+             "exponent"),
+            ("itoh_structure", lambda x: itoh.itoh_structure((2, 3), x), BadKError,
+             "root order"),
+            ("radicality_equivalence", lambda x: itoh.radicality_equivalence((2, 3), x),
+             BadKError, "root order"),
+            ("jacobson_radical", lambda x: itoh.jacobson_radical(x), NonPositiveError,
+             "maximal ideal count"),
+            ("SystemEntry", lambda x: krull.SystemEntry(1, 1, x), NonPositiveError,
+             "multiplicity"),
+            ("ConsistentSystem", lambda x: krull.ConsistentSystem(x, ((ENTRY,),)),
+             NonPositiveError, "system degree m"),
+            ("build_system-S", lambda x: krull.build_system("S", (2, 3), x), NonPositiveError,
+             "parameter k"),
+            ("build_system-EXP2", lambda x: krull.build_system("EXP2", (2, 3), x), BadKError,
+             "root order"),
+            ("common_multiple_realization", lambda x: krull.common_multiple_realization((2, 3), x),
+             BadKError, "root order"),
+            ("Component", lambda x: krull.Component((x,), True), NonPositiveError,
+             "Rees integer"),
+            ("direct_sum_plan", lambda x: krull.direct_sum_plan(PLAN, x), NonPositiveError,
+             "target integer"),
+            ("projective_fullness_check", lambda x: krull.projective_fullness_check((x, 3)),
+             NonPositiveError, "Rees integer"),
         ]
         for value in (6.0, Fraction(5, 2), "6")
     ],
