@@ -73,6 +73,24 @@ def test_ramification_matches_linear_search(e, k):
     assert oracle_ramification(PuiseuxModel(e, k)) == linear_ramification(e, k)
 
 
+# (e, k) rows whose value group Z + (e/k)Z is generated by 1/c: c = 1
+# at e = k, c strictly between 1 and k, e > k, and c = k at gcd 1
+VALUE_GROUPS = [(6, 6), (4, 6), (9, 12), (10, 4), (7, 5)]
+
+
+@pytest.mark.parametrize("e,k", VALUE_GROUPS)
+def test_ramification_generates_the_value_group(e, k):
+    # Z + (e/k)Z = (1/c)Z: both generators lie in (1/c)Z, and 1/c is a
+    # two-term integer combination of them
+    c = oracle_ramification(PuiseuxModel(e, k))
+    assert (Fraction(e, k) * c).denominator == 1
+    assert any(
+        a + b * Fraction(e, k) == Fraction(1, c)
+        for a in range(-100, 101)
+        for b in range(-100, 101)
+    )
+
+
 # e up to 10^12 against a Mersenne prime k and k = 2^12 * 5^12: gcd 1,
 # powers of 2 or 5 alone, and e = k
 _rng = random.Random(11)
@@ -114,6 +132,10 @@ class TestNewtonPolygon:
     def test_matches_factorization_oracle(self, d, n):
         criterion = newton_polygon_irreducible(d, -n)
         assert criterion == sympy_irreducible(d, n)
+
+    @given(st.integers(1, 200), st.integers(-200, 200))
+    def test_matches_slope_in_lowest_terms(self, d, v):
+        assert newton_polygon_irreducible(d, v) == (Fraction(v, d).denominator == d)
 
     def test_rejects_fractional_valuation(self):
         with pytest.raises(NonIntegralSetupError):
