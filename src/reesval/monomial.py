@@ -11,10 +11,13 @@ several times faster and is kept for that reason.  Integral closures
 of powers are cut out by those facet inequalities, and an independent
 membership oracle decides the same question touching no facet data at
 all: it looks for a convex combination of at most d scaled generators
-below the point, deciding each subset by exact Fourier-Motzkin
-elimination in at most d - 1 variables.  The last variable is settled
-in one pass over its bounds, so a pair of generators (one variable)
-forms no combination of rows at all.
+below the point.  A pair (one weight) is decided by intersecting [0, 1]
+with one bound per coordinate, and a triple (two weights) by one
+Fourier-Motzkin step on d + 3 rows read off the coordinate tuples, then
+the same interval pass; neither reduces a row by its gcd.  That one
+pass over the bounds, compared by cross-multiplication, is a single
+helper that the general Fourier-Motzkin solver also ends with; the
+solver stays for four or more points, which only d >= 4 brings.
 
 All geometry is exact: integers only.
 """
@@ -429,6 +432,31 @@ def integral_closure_power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
     return MonomialIdeal(d, tuple(gens))
 
 
+def _interval_feasible(
+    rows: Iterable[tuple[int, int]], low: int = -1, low_den: int = 0,
+    high: int = 1, high_den: int = 0,
+) -> bool:
+    """Whether some rational x in [low/low_den, high/high_den] has c*x <= b for every row (c, b).
+
+    One pass over the bounds, with no combination of rows: a row bounds
+    x above by b/c when c > 0 and below by b/c when c < 0, and a row
+    0 <= b with b < 0 is a contradiction.  Bounds are num/den with
+    den >= 0 and are compared by integer cross-multiplication, so no row
+    needs reducing; den = 0 stands for the infinite bound (-1/0 below,
+    1/0 above) that every finite one beats, and is the default.
+    """
+    for c, b in rows:
+        if c > 0:
+            if b * high_den < high * c:  # b/c < high/high_den
+                high, high_den = b, c
+        elif c < 0:
+            if b * low_den < low * c:  # b/c > low/low_den, as c < 0
+                low, low_den = -b, -c
+        elif b < 0:
+            return False
+    return low * high_den <= high * low_den
+
+
 def _fm_feasible(constraints: Iterable[tuple[Sequence[int], int]], nvars: int) -> bool:
     """Decide rational feasibility of integer inequalities sum(c*x) <= b, nvars >= 1.
 
@@ -437,11 +465,8 @@ def _fm_feasible(constraints: Iterable[tuple[Sequence[int], int]], nvars: int) -
     divided by the gcd of its entries.  Variables nvars - 1 down to 1 are
     eliminated pairwise: each row with a positive coefficient is combined
     with each row with a negative one.  The last variable x0 is then
-    settled in one pass over its bounds, with no combination at all: a
-    row c*x0 <= b bounds it above by b/c when c > 0 and below by b/c when
-    c < 0, and a row 0 <= b with b < 0 is a contradiction.  The system is
-    feasible exactly when the greatest lower bound is at most the least
-    upper bound; bounds are compared by integer cross-multiplication.
+    settled by :func:`_interval_feasible`, which the oracle's pairs and
+    triples share.
     """
     rows = []
     for coeffs, rhs in constraints:
@@ -465,20 +490,40 @@ def _fm_feasible(constraints: Iterable[tuple[Sequence[int], int]], nvars: int) -
                 g = math.gcd(*coeffs, rhs)
                 rest.append(([c // g for c in coeffs], rhs // g) if g > 1 else (coeffs, rhs))
         rows = rest
-    # The bounds on x0 are num/den with den >= 0; den = 0 stands for the
-    # infinite bound (-1/0 below, 1/0 above) that every finite one beats.
-    low, low_den, high, high_den = -1, 0, 1, 0
-    for coeffs, rhs in rows:
-        c = coeffs[0]
-        if c > 0:
-            if rhs * high_den < high * c:  # b/c < high/high_den
-                high, high_den = rhs, c
-        elif c < 0:
-            if rhs * low_den < low * c:  # b/c > low/low_den, as c < 0
-                low, low_den = -rhs, -c
-        elif rhs < 0:
-            return False
-    return low * high_den <= high * low_den
+    return _interval_feasible([(coeffs[0], rhs) for coeffs, rhs in rows])
+
+
+def _pair_below(p: Vec, q: Vec, m: Vec) -> bool:
+    """Whether w*p + (1 - w)*q <= m for some weight w in [0, 1].
+
+    Coordinate j reads w*(p - q)[j] <= (m - q)[j]: one bound on w each,
+    intersected with [0, 1] by :func:`_interval_feasible`.
+    """
+    return _interval_feasible(
+        zip(map(operator.sub, p, q), map(operator.sub, m, q)), 0, 1, 1, 1
+    )
+
+
+def _triple_below(p: Vec, r: Vec, q: Vec, m: Vec) -> bool:
+    """Whether u*p + w*r + (1 - u - w)*q <= m for some weights u, w >= 0, u + w <= 1.
+
+    The system has d + 3 rows (a, b, c) for a*u + b*w <= c: one per
+    coordinate j, ((p - q)[j], (r - q)[j], (m - q)[j]), then u + w <= 1,
+    -u <= 0 and -w <= 0.  One Fourier-Motzkin step eliminates w: each
+    row with b > 0 is combined with each row with b < 0, and the rows
+    with b = 0 are kept.  :func:`_interval_feasible` settles u on the
+    result.  Positive scaling keeps every bound, so no row is reduced.
+    """
+    sub = operator.sub
+    rows = [
+        *zip(map(sub, p, q), map(sub, r, q), map(sub, m, q)),
+        (1, 1, 1), (-1, 0, 0), (0, -1, 0),
+    ]
+    pos = [row for row in rows if row[1] > 0]
+    neg = [(a, -b, c) for a, b, c in rows if b < 0]
+    flat = [(a, c) for a, b, c in rows if not b]
+    flat += [(a * nb + na * b, c * nb + nc * b) for a, b, c in pos for na, nb, nc in neg]
+    return _interval_feasible(flat)
 
 
 def _combination_below(points: Sequence[Vec], m: Vec) -> bool:
@@ -488,8 +533,11 @@ def _combination_below(points: Sequence[Vec], m: Vec) -> bool:
     r = len(points) - 1 variables and the system
       sum lambda_i * (p_i - p_last)[j] <= m[j] - p_last[j],
       sum lambda_i <= 1,  -lambda_i <= 0.
-    Two points give one variable, which :func:`_fm_feasible` settles in
-    one pass over its bounds; three give two, one of them eliminated.
+    This is the general route, for any number of points.  The oracle
+    decides pairs and triples by :func:`_pair_below` and
+    :func:`_triple_below`, which read the same system off the
+    coordinate tuples, and calls this only on four or more points,
+    which only d >= 4 brings.
     """
     *rest, last = points
     r = len(rest)
@@ -505,9 +553,10 @@ def oracle_is_integral(ideal: MonomialIdeal, k: int, m: Sequence[int]) -> bool:
     Equivalent formulation: m lies in conv(kG) + orthant, G the
     generators.  A point c of conv(kG) with c <= m is searched among the
     convex combinations of at most d of the scaled generators, each
-    subset decided as exact rational feasibility by
-    :func:`_combination_below` in at most d - 1 variables, independently
-    of :func:`rees_valuations`.
+    subset decided as exact rational feasibility in at most d - 1
+    weights, independently of :func:`rees_valuations`: a pair by
+    :func:`_pair_below`, a triple by :func:`_triple_below`, and four or
+    more points, which only d >= 4 brings, by :func:`_combination_below`.
 
     At most d generators are needed (Caratheodory).  If m lies in the
     polyhedron P, move it along -(1, ..., 1) to the last point p still
@@ -530,8 +579,10 @@ def oracle_is_integral(ideal: MonomialIdeal, k: int, m: Sequence[int]) -> bool:
         its members in each coordinate.
 
     Each generator keeps the coordinates j with g_j <= m_j as a
-    bitmask: all of them is dominance, none is pruning (a), and a subset
-    passes (b) when the union of its members' masks is all of them.
+    bitmask, the sum of the bit weights that one builtin pass over the
+    coordinates selects: all of them is dominance, none is pruning (a),
+    and a subset passes (b) when the union of its members' masks is all
+    of them.  The generators are scaled only when k > 1.
     """
     k = read_int(k, 1, "power", NonPositivePowerError)
     try:
@@ -544,16 +595,24 @@ def oracle_is_integral(ideal: MonomialIdeal, k: int, m: Sequence[int]) -> bool:
         )
     if any(e < 0 for e in m):
         raise DimensionMismatchError(f"negative exponent in {m}")
-    full = (1 << ideal.dim) - 1
+    bits = [1 << j for j in range(ideal.dim)]
+    full = sum(bits)
     pool = []
     for g in ideal.generators:
-        kg = tuple(k * e for e in g)
-        cover = sum(1 << j for j, (x, y) in enumerate(zip(kg, m)) if x <= y)
+        kg = g if k == 1 else tuple([k * e for e in g])
+        cover = sum(itertools.compress(bits, map(operator.le, kg, m)))
         if cover == full:
             return True
         if cover:  # pruning (a)
             pool.append((kg, cover))
-    for size in range(2, ideal.dim + 1):
+    for (p, cp), (q, cq) in itertools.combinations(pool, 2):
+        if cp | cq == full and _pair_below(p, q, m):
+            return True
+    if ideal.dim > 2:
+        for (p, cp), (r, cr), (q, cq) in itertools.combinations(pool, 3):
+            if cp | cr | cq == full and _triple_below(p, r, q, m):
+                return True
+    for size in range(4, ideal.dim + 1):  # empty until the dimension cap is lifted
         for subset in itertools.combinations(pool, size):
             covered = 0
             for _, cover in subset:

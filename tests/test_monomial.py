@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from reesval import monomial
 from reesval.errors import (
     DimensionMismatchError,
     EmptyGeneratorsError,
@@ -23,9 +24,12 @@ from reesval.errors import (
 from reesval.monomial import (
     MAX_CLOSURE_COLUMNS,
     MonomialIdeal,
+    _combination_below,
     _facets_2d,
     _facets_dd,
     _fm_feasible,
+    _pair_below,
+    _triple_below,
     ideal_power,
     integral_closure_power,
     minimalize,
@@ -700,6 +704,16 @@ class TestOracle:
         assert oracle_is_integral(ideal, 1, point) is member
         assert time.perf_counter() - start < 1.0
 
+    def test_touches_no_facet_code(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the oracle reached facet code")
+
+        for name in ("_facets_2d", "_facets_dd", "rees_valuations", "integral_closure_power"):
+            monkeypatch.setattr(monomial, name, refuse)
+        assert oracle_is_integral(minimalize({(2, 0), (0, 2)}), 3, (3, 3))
+        assert oracle_is_integral(minimalize({(3, 0, 0), (0, 3, 0), (0, 0, 3)}), 1, (1, 1, 1))
+        assert not oracle_is_integral(minimalize({(3, 0, 0), (0, 3, 0), (0, 0, 3)}), 2, (2, 2, 1))
+
     def test_three_generator_witness(self):
         # (1, 1, 1) is the centroid of x^3, y^3, z^3.  No generator lies
         # below it, nor any combination of two: each of the two weights
@@ -778,6 +792,73 @@ class TestFourierMotzkin:
     def test_witness_and_farkas_systems(self, system):
         rows, nvars, feasible = system
         assert _fm_feasible(rows, nvars) is feasible
+
+
+def weight_system(points, m):
+    """The rows sum(c*w) <= b on the weights of all points but the last.
+
+    The last weight is 1 - sum of the others: each coordinate j reads
+    sum w_i*(p_i - p_last)[j] <= (m - p_last)[j], then sum w_i <= 1 and
+    -w_i <= 0 for each i.
+    """
+    *rest, last = points
+    r = len(rest)
+    rows = [([p[j] - last[j] for p in rest], m[j] - last[j]) for j in range(len(m))]
+    rows.append(([1] * r, 1))
+    rows += [([-1 if j == i else 0 for j in range(r)], 0) for i in range(r)]
+    return rows
+
+
+def vertex_feasible(rows, nvars):
+    """Whether the bounded system has a vertex: a reference in Fractions, for nvars <= 2.
+
+    The weights lie in a simplex, so the feasible set is bounded, and it
+    is nonempty exactly when it has a vertex, where nvars linearly
+    independent rows are tight.  Each candidate is solved by Cramer's
+    rule and checked against every row.
+    """
+    for tight in itertools.combinations(rows, nvars):
+        if nvars == 1:
+            (((c,), b),) = tight
+            if not c:
+                continue
+            x = (Fraction(b, c),)
+        else:
+            ((a1, b1), r1), ((a2, b2), r2) = tight
+            det = a1 * b2 - a2 * b1
+            if not det:
+                continue
+            x = (Fraction(r1 * b2 - r2 * b1, det), Fraction(a1 * r2 - a2 * r1, det))
+        if all(sum(map(operator.mul, c, x)) <= b for c, b in rows):
+            return True
+    return False
+
+
+@st.composite
+def subsets_below(draw):
+    """(points, m): two or three points and a query point in 1..4 dimensions."""
+    d = draw(st.integers(1, 4))
+    vec = st.tuples(*[fm_coefficients] * d)
+    points = draw(st.lists(vec, min_size=2, max_size=3))
+    return points, draw(vec)
+
+
+class TestDirectRoutes:
+    @settings(max_examples=400, deadline=None)
+    @given(subsets_below())
+    # p_1 = q_1 and m_1 < q_1: the row 0 <= -1
+    @example(([(1, 2), (3, 2)], (5, 1)))
+    # (r - q)[j] >= 0 in every coordinate: w is bounded below by -w <= 0 only
+    @example(([(0, 4, 1), (4, 4, 2), (2, 0, 0)], (2, 2, 1)))
+    # the weight on (0, 2) is pinned to 1/2, and the centroid pins both to 1/3
+    @example(([(0, 2), (2, 0)], (1, 1)))
+    @example(([(3, 0, 0), (0, 3, 0), (0, 0, 3)], (1, 1, 1)))
+    def test_pairs_and_triples_match_the_general_solver(self, case):
+        points, m = case
+        rows, r = weight_system(points, m), len(points) - 1
+        direct = _pair_below if r == 1 else _triple_below
+        assert direct(*points, m) is _fm_feasible(rows, r) is vertex_feasible(rows, r)
+        assert _combination_below(points, m) is _fm_feasible(rows, r)
 
 
 class TestPowerStability:
