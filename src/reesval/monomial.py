@@ -17,7 +17,7 @@ Fourier-Motzkin step on d + 3 rows read off the coordinate tuples, then
 the same interval pass; neither reduces a row by its gcd.  That one
 pass over the bounds, compared by cross-multiplication, is a single
 helper that the general Fourier-Motzkin solver also ends with; the
-solver stays for four or more points, which only d >= 4 brings.
+solver is the exact reference the direct routes are tested against.
 
 All geometry is exact: integers only.
 """
@@ -432,19 +432,17 @@ def integral_closure_power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
     return MonomialIdeal(d, tuple(gens))
 
 
-def _interval_feasible(
-    rows: Iterable[tuple[int, int]], low: int = -1, low_den: int = 0,
-    high: int = 1, high_den: int = 0,
-) -> bool:
-    """Whether some rational x in [low/low_den, high/high_den] has c*x <= b for every row (c, b).
+def _interval_feasible(rows: Iterable[tuple[int, int]]) -> bool:
+    """Whether some rational x has c*x <= b for every row (c, b).
 
     One pass over the bounds, with no combination of rows: a row bounds
     x above by b/c when c > 0 and below by b/c when c < 0, and a row
     0 <= b with b < 0 is a contradiction.  Bounds are num/den with
     den >= 0 and are compared by integer cross-multiplication, so no row
     needs reducing; den = 0 stands for the infinite bound (-1/0 below,
-    1/0 above) that every finite one beats, and is the default.
+    1/0 above) that every finite one beats.
     """
+    low, low_den, high, high_den = -1, 0, 1, 0
     for c, b in rows:
         if c > 0:
             if b * high_den < high * c:  # b/c < high/high_den
@@ -496,12 +494,13 @@ def _fm_feasible(constraints: Iterable[tuple[Sequence[int], int]], nvars: int) -
 def _pair_below(p: Vec, q: Vec, m: Vec) -> bool:
     """Whether w*p + (1 - w)*q <= m for some weight w in [0, 1].
 
-    Coordinate j reads w*(p - q)[j] <= (m - q)[j]: one bound on w each,
-    intersected with [0, 1] by :func:`_interval_feasible`.
+    The rows -w <= 0 and w <= 1, then w*(p - q)[j] <= (m - q)[j] for
+    each coordinate j: one bound on w each, settled by
+    :func:`_interval_feasible`.
     """
-    return _interval_feasible(
-        zip(map(operator.sub, p, q), map(operator.sub, m, q)), 0, 1, 1, 1
-    )
+    return _interval_feasible(itertools.chain(
+        ((-1, 0), (1, 1)), zip(map(operator.sub, p, q), map(operator.sub, m, q))
+    ))
 
 
 def _triple_below(p: Vec, r: Vec, q: Vec, m: Vec) -> bool:
@@ -526,27 +525,6 @@ def _triple_below(p: Vec, r: Vec, q: Vec, m: Vec) -> bool:
     return _interval_feasible(flat)
 
 
-def _combination_below(points: Sequence[Vec], m: Vec) -> bool:
-    """Whether some convex combination of the points is <= m, by :func:`_fm_feasible`.
-
-    The last weight is eliminated as 1 - sum of the others, which leaves
-    r = len(points) - 1 variables and the system
-      sum lambda_i * (p_i - p_last)[j] <= m[j] - p_last[j],
-      sum lambda_i <= 1,  -lambda_i <= 0.
-    This is the general route, for any number of points.  The oracle
-    decides pairs and triples by :func:`_pair_below` and
-    :func:`_triple_below`, which read the same system off the
-    coordinate tuples, and calls this only on four or more points,
-    which only d >= 4 brings.
-    """
-    *rest, last = points
-    r = len(rest)
-    rows = [([p[j] - lj for p in rest], mj - lj) for j, (mj, lj) in enumerate(zip(m, last))]
-    rows.append(([1] * r, 1))
-    rows += [([-1 if j == i else 0 for j in range(r)], 0) for i in range(r)]
-    return _fm_feasible(rows, r)
-
-
 def oracle_is_integral(ideal: MonomialIdeal, k: int, m: Sequence[int]) -> bool:
     """Decide membership of x^m in the closure of the k-th power, facet-free.
 
@@ -555,8 +533,8 @@ def oracle_is_integral(ideal: MonomialIdeal, k: int, m: Sequence[int]) -> bool:
     convex combinations of at most d of the scaled generators, each
     subset decided as exact rational feasibility in at most d - 1
     weights, independently of :func:`rees_valuations`: a pair by
-    :func:`_pair_below`, a triple by :func:`_triple_below`, and four or
-    more points, which only d >= 4 brings, by :func:`_combination_below`.
+    :func:`_pair_below` and a triple by :func:`_triple_below`.  As
+    d <= 3, no larger subset occurs.
 
     At most d generators are needed (Caratheodory).  If m lies in the
     polyhedron P, move it along -(1, ..., 1) to the last point p still
@@ -611,13 +589,6 @@ def oracle_is_integral(ideal: MonomialIdeal, k: int, m: Sequence[int]) -> bool:
     if ideal.dim > 2:
         for (p, cp), (r, cr), (q, cq) in itertools.combinations(pool, 3):
             if cp | cr | cq == full and _triple_below(p, r, q, m):
-                return True
-    for size in range(4, ideal.dim + 1):  # empty until the dimension cap is lifted
-        for subset in itertools.combinations(pool, size):
-            covered = 0
-            for _, cover in subset:
-                covered |= cover
-            if covered == full and _combination_below([kg for kg, _ in subset], m):
                 return True
     return False
 

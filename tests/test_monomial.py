@@ -24,7 +24,6 @@ from reesval.errors import (
 from reesval.monomial import (
     MAX_CLOSURE_COLUMNS,
     MonomialIdeal,
-    _combination_below,
     _facets_2d,
     _facets_dd,
     _fm_feasible,
@@ -858,7 +857,6 @@ class TestDirectRoutes:
         rows, r = weight_system(points, m), len(points) - 1
         direct = _pair_below if r == 1 else _triple_below
         assert direct(*points, m) is _fm_feasible(rows, r) is vertex_feasible(rows, r)
-        assert _combination_below(points, m) is _fm_feasible(rows, r)
 
 
 class TestPowerStability:

@@ -24,6 +24,10 @@ TEST_ONLY = {
     # multiple e of the Rees integers gives uniform Rees integer e, and
     # a simple extension of degree e when every Rees integer equals e.
     "common_multiple_realization": "paper result (4)",
+    # The general Fourier-Motzkin solver: the oracle decides its pairs
+    # and triples directly, and the tests check those routes against it.
+    # The oracle needs it again for four or more points once d > 3.
+    "_fm_feasible": "exact reference for the oracle's direct routes",
 }
 
 
