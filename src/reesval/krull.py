@@ -31,6 +31,7 @@ from .errors import (
     NotMultipleError,
     read_int,
 )
+from .dvrcalc import general_k_extension
 from .itoh import (
     ReesData,
     SemilocalIdeal,
@@ -127,11 +128,11 @@ def build_root_adjunction_system(
     rees: ReesData | Sequence[int], k: int
 ) -> ConsistentSystem:
     """Family EXP2: the k-consistent system realized by a k-th root of u."""
-    report = itoh_structure(rees, k)
-    per = tuple(
-        (SystemEntry(r.residue_degree, r.ramification),) for r in report.per_valuation
-    )
-    return ConsistentSystem(m=report.k, per_valuation=per, family=FAMILY_ROOT)
+    rd = rees_data(rees)
+    k = read_int(k, 2, "root order", BadKError)
+    steps = [general_k_extension(e, k) for e in rd.entries]
+    per = tuple((SystemEntry(s.residue_degree, s.ramification),) for s in steps)
+    return ConsistentSystem(m=k, per_valuation=per, family=FAMILY_ROOT)
 
 
 _BUILDERS = {

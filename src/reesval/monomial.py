@@ -50,10 +50,6 @@ Vec = tuple[int, ...]
 _VAR_NAMES = ("x", "y", "z")
 
 
-def _dot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(map(operator.mul, a, b))
-
-
 def _earlier_divisors(vecs: Sequence[Vec]) -> Iterator[tuple[Vec, Vec | None]]:
     """Pair each vector of a lexicographically sorted list with an earlier divisor.
 
@@ -245,9 +241,14 @@ class ReesValuationSpec(Record):
                 raise ImproperIdealError("valuation normal must be nonnegative")
             raise ImproperIdealError(f"normal {normal} is not primitive")
         object.__setattr__(self, "normal", normal)
-        object.__setattr__(
-            self, "rees_integer", read_int(self.rees_integer, 1, "Rees integer", NonPositiveError)
-        )
+        e = self.rees_integer
+        if e.__class__ is not int or e < 1:
+            object.__setattr__(
+                self, "rees_integer", read_int(e, 1, "Rees integer", NonPositiveError)
+            )
+
+
+_NORMAL = operator.attrgetter("normal")
 
 
 class ReesPackage(Record):
@@ -256,12 +257,12 @@ class ReesPackage(Record):
     __slots__ = ("ideal", "valuations")
 
     def __post_init__(self):
-        normals = [v.normal for v in self.valuations]
-        if len(set(normals)) != len(normals):
+        valuations = tuple(sorted(self.valuations, key=_NORMAL))
+        normals = [v.normal for v in valuations]
+        # sorted, equal normals are neighbours
+        if any(map(operator.eq, normals, normals[1:])):
             raise ImproperIdealError("duplicate valuation normals")
-        object.__setattr__(
-            self, "valuations", tuple(sorted(self.valuations, key=lambda v: v.normal))
-        )
+        object.__setattr__(self, "valuations", valuations)
 
     @property
     def rees_integers(self) -> tuple[int, ...]:
@@ -293,7 +294,7 @@ def _facets_2d(gens: Sequence[Vec]) -> list[tuple[Vec, int]]:
         chain.append(p)
     for a, b in zip(chain, chain[1:]):
         normal = _primitive((a[1] - b[1], b[0] - a[0]))
-        facets.append((normal, _dot(normal, a)))
+        facets.append((normal, normal[0] * a[0] + normal[1] * a[1]))
     return facets
 
 
@@ -306,8 +307,10 @@ def _facets_dd(gens: Sequence[Vec], d: int) -> list[tuple[Vec, int]]:
     for each generator.  The basis {e_1..e_d, g_0} has the rays
     (e_i, -g_0i) and (0, ..., 0, 1); the other generators are then added
     in lexicographic order.  Each ray carries the bitmask of the
-    constraints tight on it, and a positive and a negative ray are
-    combined only when adjacent: they share at least d - 1 tight
+    constraints tight on it.  A step keeps the rays of nonnegative value
+    on the new constraint and combines each negative ray (the outer
+    loop, usually one to three) with each positive one (the inner loop)
+    only when the two are adjacent: they share at least d - 1 tight
     constraints and, from d = 4 on, no third ray is tight on all of
     those.  The third-ray test is needed only there, because only from
     d = 4 on can d - 1 common tight constraints be linearly dependent
@@ -324,20 +327,22 @@ def _facets_dd(gens: Sequence[Vec], d: int) -> list[tuple[Vec, int]]:
     # null space.  So they cut out a 2-face, whose only extreme rays are
     # p and n.
     scan = d > 3
+    mul = operator.mul
     for j, g in enumerate(gens[1:], start=d + 1):
         bit, v = 1 << j, g + (1,)
         pos, neg, new = [], [], []
-        for y, tight in rays:
-            s = _dot(y, v)
+        for ray in rays:
+            y, tight = ray
+            s = sum(map(mul, y, v))
             if s > 0:
                 pos.append((s, y, tight))
-                new.append((y, tight))
+                new.append(ray)
             elif s < 0:
                 neg.append((s, y, tight))
             else:
                 new.append((y, tight | bit))
-        for sp, p, tp in pos:
-            for sn, n, tn in neg:
+        for sn, n, tn in neg:
+            for sp, p, tp in pos:
                 common = tp & tn
                 # p and n are two of the rays tight on common; a third one
                 # means their combination is not extreme.
@@ -345,10 +350,18 @@ def _facets_dd(gens: Sequence[Vec], d: int) -> list[tuple[Vec, int]]:
                     (tight & common) == common for _, tight in rays
                 ) > 2:
                     continue
-                y = tuple([sp * b - sn * a for a, b in zip(p, n)])
-                new.append((_primitive(y), common | bit))
+                y = [sp * b - sn * a for a, b in zip(p, n)]
+                c = math.gcd(*y)
+                new.append((tuple([x // c for x in y] if c > 1 else y), common | bit))
         rays = new
     return [(y[:-1], -y[-1]) for y, _ in rays if any(y[:-1])]
+
+
+def _rees_facets(ideal: MonomialIdeal) -> list[tuple[Vec, int]]:
+    """The facets (normal, offset) of positive offset: one per Rees valuation."""
+    gens = ideal.generators
+    facets = _facets_2d(gens) if ideal.dim == 2 else _facets_dd(gens, ideal.dim)
+    return [facet for facet in facets if facet[1] > 0]
 
 
 def rees_valuations(ideal: MonomialIdeal) -> ReesPackage:
@@ -360,13 +373,10 @@ def rees_valuations(ideal: MonomialIdeal) -> ReesPackage:
     :func:`_facets_2d` when d = 2 and from the general
     :func:`_facets_dd` otherwise.  Both give the same facets in 2D,
     where the chain is several times faster: a whole call on 10-40
-    generators takes 0.02-0.04 ms with it and 0.08-0.4 ms without.
+    generators takes 0.015-0.035 ms with it and 0.05-0.25 ms without.
+    :func:`integral_closure_power` reads the same facet list.
     """
-    gens = ideal.generators
-    facets = _facets_2d(gens) if ideal.dim == 2 else _facets_dd(gens, ideal.dim)
-    specs = [
-        ReesValuationSpec(normal, offset) for normal, offset in facets if offset > 0
-    ]
+    specs = [ReesValuationSpec(normal, offset) for normal, offset in _rees_facets(ideal)]
     return ReesPackage(ideal, tuple(specs))
 
 
@@ -405,17 +415,14 @@ def integral_closure_power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
         )
     if d == 1:
         return MonomialIdeal(1, ((k * ideal.generators[0][0],),))
-    rows = [
-        (v.normal[:-2], v.normal[-2], v.normal[-1], k * v.rees_integer)
-        for v in rees_valuations(ideal).valuations
-    ]
+    rows = [(a[:-2], a[-2], a[-1], k * r) for a, r in _rees_facets(ideal)]
     span, out = range(bound + 1), bound + 1
     lines: dict[Vec, list[int]] = {}
     gens = []
     for q in itertools.product(span, repeat=d - 2):
         bounds, cut = [], 0
         for head, step, last, target in rows:
-            base = target - _dot(head, q)
+            base = target - sum(map(operator.mul, head, q))
             if last:
                 bounds.append([-((step * t - base) // last) for t in span])
             elif step:

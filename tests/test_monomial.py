@@ -431,6 +431,14 @@ class TestReesValuations:
         gens = tuple(v for v in sorted(vecs) if not any(w != v and divides(w, v) for w in vecs))
         assert sorted(_facets_dd(gens, 4)) == candidate_scan_facets(gens, 4)
 
+    @settings(deadline=None)
+    @given(st.one_of(ideals(1, 8, 3), ideals(2, 12, 12), ideals(3, 6, 10)))
+    def test_valuations_are_the_positive_facets(self, ideal):
+        # the closure reads the same facet list that the records are built from
+        facets = monomial._rees_facets(ideal)
+        assert all(offset > 0 for _, offset in facets)
+        assert normals_and_integers(rees_valuations(ideal)) == sorted(facets)
+
     def test_determinism(self):
         gens = [(4, 0), (2, 3), (0, 6), (1, 5)]
         first = rees_valuations(minimalize(gens))
@@ -508,6 +516,20 @@ class TestIntegralClosure:
     def test_mixed_powers(self):
         ideal = minimalize({(2, 0), (0, 3)})
         assert integral_closure_power(ideal, 1).generators == ((0, 3), (1, 2), (2, 0))
+
+    def test_reads_the_facets_without_valuation_records(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the closure built a valuation record")
+
+        for name in ("ReesValuationSpec", "ReesPackage", "rees_valuations"):
+            monkeypatch.setattr(monomial, name, refuse)
+        assert integral_closure_power(minimalize({(2, 0), (0, 3)}), 1).generators == (
+            (0, 3), (1, 2), (2, 0)
+        )
+        pure = minimalize({(2, 0, 0), (0, 2, 0), (0, 0, 2)})
+        assert integral_closure_power(pure, 1).generators == (
+            (0, 0, 2), (0, 1, 1), (0, 2, 0), (1, 0, 1), (1, 1, 0), (2, 0, 0)
+        )
 
     def test_rejects_bad_power(self):
         with pytest.raises(NonPositivePowerError):

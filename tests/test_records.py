@@ -318,6 +318,27 @@ def test_unequal_values_differ():
             id="ReesPackage-duplicate-normals",
         ),
         pytest.param(
+            lambda: monomial.ReesValuationSpec((1, 1), Fraction(3, 1)),
+            NonPositiveError,
+            "Rees integer must be an integer, got Fraction(3, 1)",
+            id="ReesValuationSpec-fraction-rees-integer",
+        ),
+        pytest.param(
+            lambda: monomial.ReesValuationSpec((1, 1), "3"),
+            NonPositiveError,
+            "Rees integer must be an integer, got '3'",
+            id="ReesValuationSpec-string-rees-integer",
+        ),
+        # the duplicates are not neighbours in the input, only once sorted
+        pytest.param(
+            lambda: monomial.ReesPackage(
+                IDEAL, (SPEC, monomial.ReesValuationSpec((1, 1), 2), SPEC)
+            ),
+            ImproperIdealError,
+            "duplicate valuation normals",
+            id="ReesPackage-duplicate-normals-apart",
+        ),
+        pytest.param(
             lambda: puiseux.newton_polygon_irreducible(2, Fraction(-2, 1)),
             NonIntegralSetupError,
             "constant term valuation must be an integer, got Fraction(-2, 1)",
