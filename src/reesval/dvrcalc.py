@@ -106,6 +106,12 @@ def itoh_tower(e_j: int, e: int) -> Tower:
     return Tower(base=base, steps=(kummer, root))
 
 
+def _root_invariants(e: int, k: int) -> tuple[int, int, int]:
+    """(degree, ramification, residue degree) = (k, k/d, d), d = gcd(e, k)."""
+    d = math.gcd(e, k)
+    return k, k // d, d
+
+
 def general_k_extension(e: int, k: int) -> ExtensionStep:
     """Invariants of adjoining a k-th root of u when u has value e.
 
@@ -114,8 +120,7 @@ def general_k_extension(e: int, k: int) -> ExtensionStep:
     """
     e = read_int(e, 1, "e", NonPositiveError)
     k = read_int(k, 1, "k", NonPositiveError)
-    d = math.gcd(e, k)
-    return ExtensionStep(degree=k, ramification=k // d, residue_degree=d)
+    return ExtensionStep(*_root_invariants(e, k))
 
 
 def compose(t1: ExtensionStep, t2: ExtensionStep) -> ExtensionStep:

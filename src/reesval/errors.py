@@ -4,9 +4,11 @@ Two branches matter to callers: ``InputError`` covers bad inputs and
 precondition violations (CLI exit code 2), while ``VerificationError``
 means an internal cross-check failed, i.e. a bug (CLI exit code 3).
 :func:`read_int` reads an integer argument or field against a lower
-bound, raising the ``InputError`` its caller names.
+bound, raising the ``InputError`` its caller names, and
+:func:`int_text` writes a computed integer into a message.
 """
 
+import math
 import operator
 
 
@@ -127,3 +129,17 @@ def read_int(value, least: int, what: str, error: type[InputError]) -> int:
     if value < least:
         raise error(f"{what} must be >= {least}, got {value}")
     return value
+
+
+def int_text(value: int) -> str:
+    """A positive int in decimal, or as ``~10^n`` when it is too long for ``str``.
+
+    CPython refuses to convert an int of more than 4300 digits (the
+    default of ``sys.set_int_max_str_digits``) and raises ``ValueError``,
+    so a message that printed such an int would crash in place of its
+    refusal.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        return f"~10^{int(math.log10(value))}"

@@ -22,7 +22,7 @@ from .errors import (
     UnitIdealError,
     read_int,
 )
-from .dvrcalc import general_k_extension
+from .dvrcalc import _root_invariants
 from .record import Record
 
 
@@ -35,7 +35,7 @@ class ReesData(Record):
         entries = tuple([read_int(e, 1, "Rees integer", NonPositiveError) for e in self.entries])
         if not entries:
             raise NonPositiveError("Rees data must be nonempty")
-        object.__setattr__(self, "entries", entries)
+        ReesData.entries.__set__(self, entries)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -81,7 +81,7 @@ class SemilocalIdeal(Record):
         exps = tuple([read_int(e, 0, "exponent", NonPositiveError) for e in self.exponents])
         if not exps:
             raise NonPositiveError("exponent vector must be nonempty")
-        object.__setattr__(self, "exponents", exps)
+        SemilocalIdeal.exponents.__set__(self, exps)
 
     def __len__(self) -> int:
         return len(self.exponents)
@@ -102,15 +102,8 @@ def itoh_structure(rees: ReesData | Sequence[int], k: int) -> ItohReport:
     k = read_int(k, 2, "root order", BadKError)
     records = []
     for e in rd.entries:
-        step = general_k_extension(e, k)
-        records.append(
-            ItohValuationRecord(
-                rees_integer=e,
-                residue_degree=step.residue_degree,
-                ramification=step.ramification,
-                u_exponent=e // step.residue_degree,
-            )
-        )
+        _, c, d = _root_invariants(e, k)
+        records.append(ItohValuationRecord(e, d, c, e // d))
     return ItohReport(
         k=k,
         per_valuation=tuple(records),
@@ -143,42 +136,31 @@ class EquivalenceReport(Record):
 def radicality_equivalence(rees: ReesData | Sequence[int], k: int) -> EquivalenceReport:
     """Check the four equivalent radicality statements against each other.
 
-    (1) every tower exponent h_j equals one; (2) the exponent vector of
-    the extended ideal is fixed by the radical; (3) the same test on the
-    unextended-level vector, recomputed through the value-group oracle
-    rather than gcd; (4) k is divisible by every Rees integer.  The four
-    booleans are computed independently and an ``EquivalenceViolation``
-    is raised if they ever disagree.
+    (1) every tower exponent h_j = e_j/gcd(e_j, k) equals one; (2) the
+    vector of those exponents is fixed by the radical; (3) the same test
+    on the unextended-level vector, recomputed through the value-group
+    oracle rather than gcd; (4) k is a multiple of the Rees integers' lcm.
+    The four booleans are computed independently, from ints, and an
+    ``EquivalenceViolation`` is raised if they ever disagree.
     """
     # the oracle loads only when this cross-check runs
-    from .puiseux import PuiseuxModel, oracle_ramification
+    from .puiseux import _ramification
 
     rd = rees_data(rees)
-    report = itoh_structure(rd, k)
-    k = report.k
-    via_tower = report.is_radical
-
-    # the radical clamps each positive exponent to one, so a vector is
-    # fixed by it exactly when no exponent exceeds one
-    via_exponent_vector = all(h <= 1 for h in report.u_exponents)
-
+    k = read_int(k, 2, "root order", BadKError)
+    exponents = tuple([e // _root_invariants(e, k)[2] for e in rd.entries])
     oracle_exponents = []
     for e in rd.entries:
-        c = oracle_ramification(PuiseuxModel(e, k))
-        h, rest = divmod(e * c, k)
+        h, rest = divmod(e * _ramification(e, k), k)
         if rest:
             raise EquivalenceViolation(f"non-integral exponent for e={e}, k={k}")
         oracle_exponents.append(h)
-    via_unextended = all(h <= 1 for h in oracle_exponents)
-
-    via_divisibility = all(k % e == 0 for e in rd.entries)
-
     result = EquivalenceReport(
         k=k,
-        via_tower=via_tower,
-        via_exponent_vector=via_exponent_vector,
-        via_unextended=via_unextended,
-        via_divisibility=via_divisibility,
+        via_tower=all(h == 1 for h in exponents),
+        via_exponent_vector=_radical(exponents) == exponents,
+        via_unextended=all(h <= 1 for h in oracle_exponents),
+        via_divisibility=k % rd.lcm == 0,
     )
     if not result.agreed:
         raise EquivalenceViolation(
@@ -187,9 +169,14 @@ def radicality_equivalence(rees: ReesData | Sequence[int], k: int) -> Equivalenc
     return result
 
 
+def _radical(exponents: tuple[int, ...]) -> tuple[int, ...]:
+    """The radical's exponent vector: every positive exponent clamps to one."""
+    return tuple([min(e, 1) for e in exponents])
+
+
 def semilocal_radical(a: SemilocalIdeal) -> SemilocalIdeal:
     """Radical of an ideal: every positive exponent clamps to one."""
-    return SemilocalIdeal(tuple(min(e, 1) for e in a.exponents))
+    return SemilocalIdeal(_radical(a.exponents))
 
 
 def jacobson_radical(n: int) -> SemilocalIdeal:

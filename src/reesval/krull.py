@@ -19,7 +19,7 @@ four standard families are computed exactly:
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 
 from .errors import (
     BadKError,
@@ -29,9 +29,10 @@ from .errors import (
     NonUniformError,
     NotCommonMultipleError,
     NotMultipleError,
+    int_text,
     read_int,
 )
-from .dvrcalc import general_k_extension
+from .dvrcalc import _root_invariants
 from .itoh import (
     ReesData,
     SemilocalIdeal,
@@ -61,11 +62,6 @@ class SystemEntry(Record):
         read_int(self.ramification, 1, "ramification", NonPositiveError)
         read_int(self.multiplicity, 1, "multiplicity", NonPositiveError)
 
-    @property
-    def weight(self) -> int:
-        """Contribution e*f*multiplicity to the consistency sum."""
-        return self.residue_degree * self.ramification * self.multiplicity
-
 
 class ConsistentSystem(Record):
     __slots__ = ("m", "per_valuation", "family")
@@ -76,52 +72,47 @@ class ConsistentSystem(Record):
         if not self.per_valuation:
             raise NonPositiveError("system needs at least one valuation")
 
-    def valuation_sum(self, j: int) -> int:
-        return sum(entry.weight for entry in self.per_valuation[j])
-
-    def extension_count(self, j: int) -> int:
-        """Number of prescribed extensions s_j of the j-th valuation."""
-        return sum(entry.multiplicity for entry in self.per_valuation[j])
-
 
 def is_consistent(system: ConsistentSystem) -> bool:
-    """True when every per-valuation sum of e*f equals m."""
+    """True when every per-valuation sum of e*f*multiplicity equals m."""
     return all(
-        system.valuation_sum(j) == system.m for j in range(len(system.per_valuation))
+        sum([x.residue_degree * x.ramification * x.multiplicity for x in row]) == system.m
+        for row in system.per_valuation
     )
 
 
-def _lcm_family(
-    family: str,
-    rees: ReesData | Sequence[int],
-    k: int,
-    entry: Callable[[int, int], SystemEntry],
-) -> ConsistentSystem:
-    """A degree k*lcm system with entry(e_j, lcm/e_j) at each valuation."""
+def _lcm_rows(family: str, entries: tuple[int, ...], k: int) -> tuple[int, list]:
+    """Degree k*lcm of family S, T or U, and its one entry per Rees integer
+    e_j as (e_j, residue degree, ramification, multiplicity), of e*f*mult k*lcm."""
+    m0 = math.lcm(*entries)
+    if family == FAMILY_SPLIT:
+        return k * m0, [(e, 1, m0 // e, k * e) for e in entries]
+    if family == FAMILY_INERT:
+        return k * m0, [(e, k * e, m0 // e, 1) for e in entries]
+    return k * m0, [(e, 1, k * (m0 // e), e) for e in entries]
+
+
+def _lcm_family(family: str, rees: ReesData | Sequence[int], k: int) -> ConsistentSystem:
     rd = rees_data(rees)
     k = read_int(k, 1, "parameter k", NonPositiveError)
-    m0 = rd.lcm
-    per = tuple((entry(e, m0 // e),) for e in rd.entries)
-    return ConsistentSystem(m=k * m0, per_valuation=per, family=family)
+    m, rows = _lcm_rows(family, rd.entries, k)
+    per = tuple([(SystemEntry(f, c, n),) for _, f, c, n in rows])
+    return ConsistentSystem(m=m, per_valuation=per, family=family)
 
 
 def build_split_system(rees: ReesData | Sequence[int], k: int) -> ConsistentSystem:
     """Family S: k*e_j ideals per valuation, residue degree one."""
-    return _lcm_family(
-        FAMILY_SPLIT, rees, k, lambda e, c: SystemEntry(1, c, multiplicity=k * e)
-    )
+    return _lcm_family(FAMILY_SPLIT, rees, k)
 
 
 def build_inert_system(rees: ReesData | Sequence[int], k: int) -> ConsistentSystem:
     """Family T: a single residue-degree-k*e_j extension per valuation."""
-    return _lcm_family(FAMILY_INERT, rees, k, lambda e, c: SystemEntry(k * e, c))
+    return _lcm_family(FAMILY_INERT, rees, k)
 
 
 def build_ramified_system(rees: ReesData | Sequence[int], k: int) -> ConsistentSystem:
     """Family U: e_j ideals per valuation with ramification k*(lcm/e_j)."""
-    return _lcm_family(
-        FAMILY_RAMIFIED, rees, k, lambda e, c: SystemEntry(1, k * c, multiplicity=e)
-    )
+    return _lcm_family(FAMILY_RAMIFIED, rees, k)
 
 
 def build_root_adjunction_system(
@@ -130,9 +121,11 @@ def build_root_adjunction_system(
     """Family EXP2: the k-consistent system realized by a k-th root of u."""
     rd = rees_data(rees)
     k = read_int(k, 2, "root order", BadKError)
-    steps = [general_k_extension(e, k) for e in rd.entries]
-    per = tuple((SystemEntry(s.residue_degree, s.ramification),) for s in steps)
-    return ConsistentSystem(m=k, per_valuation=per, family=FAMILY_ROOT)
+    per = []
+    for e in rd.entries:
+        _, c, d = _root_invariants(e, k)
+        per.append((SystemEntry(d, c),))
+    return ConsistentSystem(m=k, per_valuation=tuple(per), family=FAMILY_ROOT)
 
 
 _BUILDERS = {
@@ -180,7 +173,8 @@ def realizability_gate(
     """Apply the sufficient realizability conditions in order."""
     if not is_consistent(system):
         raise InconsistentSystemError("system fails the consistency sums")
-    if any(system.extension_count(j) == 1 for j in range(len(system.per_valuation))):
+    # a valuation with a single prescribed extension
+    if any(sum([entry.multiplicity for entry in row]) == 1 for row in system.per_valuation):
         return GateDecision(realizable=True, condition=1)
     if has_extra_dvr:
         return GateDecision(realizable=True, condition=2)
@@ -212,6 +206,17 @@ class RealizationReport(Record):
         return self.jacobson_exponent
 
 
+def _realization(m: int, rows: list) -> RealizationReport:
+    """Realization of a consistent degree-m system from its entries' rows
+    (e_j, residue degree, ramification, multiplicity): an entry stands for
+    multiplicity maximal ideals, each of extended ideal exponent e_j * ramification."""
+    exponents = tuple([e_j * c for e_j, _, c, _ in rows])
+    first = exponents[0]
+    if any(x != first for x in exponents):
+        raise NonUniformError(f"extended ideal exponents are not uniform: {exponents}")
+    return RealizationReport(m, sum([n for _, _, _, n in rows]), first)
+
+
 def realize_plan(system: ConsistentSystem, rees: ReesData | Sequence[int]) -> RealizationReport:
     """Realization numerology for a system built from the given Rees data."""
     rd = rees_data(rees)
@@ -221,20 +226,11 @@ def realize_plan(system: ConsistentSystem, rees: ReesData | Sequence[int]) -> Re
         raise IndexMismatchError(
             f"system has {len(system.per_valuation)} valuations, Rees data has {len(rd)}"
         )
-    # one exponent per system entry; each stands for multiplicity maximal ideals
-    exponents = tuple(
-        e_j * entry.ramification
-        for e_j, entries in zip(rd.entries, system.per_valuation)
-        for entry in entries
-    )
-    first = exponents[0]
-    if any(x != first for x in exponents):
-        raise NonUniformError(f"extended ideal exponents are not uniform: {exponents}")
-    return RealizationReport(
-        extension_degree=system.m,
-        maximal_ideal_count=sum(system.extension_count(j) for j in range(len(rd))),
-        jacobson_exponent=first,
-    )
+    return _realization(system.m, [
+        (e_j, entry.residue_degree, entry.ramification, entry.multiplicity)
+        for e_j, row in zip(rd.entries, system.per_valuation)
+        for entry in row
+    ])
 
 
 def common_multiple_realization(rees: ReesData | Sequence[int], e: int) -> RealizationReport:
@@ -279,7 +275,7 @@ class Component(Record):
             raise NonPositiveError("participating component needs Rees data")
         if not self.participates and entries:
             raise NonPositiveError("non-participating component must carry no Rees data")
-        object.__setattr__(self, "rees_integers", tuple(
+        Component.rees_integers.__set__(self, tuple(
             [read_int(e, 1, "Rees integer", NonPositiveError) for e in entries]))
 
 
@@ -310,8 +306,8 @@ def direct_sum_plan(plan: ComponentPlan, e: int) -> DirectSumReport:
 
     Requires e to be a positive multiple of the lcm of all Rees
     integers across participating components.  Each participating
-    component gets a ramified-family realization of degree e; the rest
-    pass through.
+    component gets a ramified-family realization of degree e, from its
+    validated integers; the rest pass through.
     """
     e = read_int(e, 1, "target integer", NonPositiveError)
     all_entries = [
@@ -320,7 +316,7 @@ def direct_sum_plan(plan: ComponentPlan, e: int) -> DirectSumReport:
     overall = math.lcm(*all_entries)
     if e % overall != 0:
         raise NotMultipleError(
-            f"{e} is not a multiple of the overall lcm {overall}"
+            f"{e} is not a multiple of the overall lcm {int_text(overall)}"
         )
     outcomes = []
     for comp in plan.components:
@@ -329,9 +325,9 @@ def direct_sum_plan(plan: ComponentPlan, e: int) -> DirectSumReport:
                 ComponentOutcome(participates=False, rees_integers=(), realization=None)
             )
             continue
-        rd = ReesData(comp.rees_integers)
-        k = e // rd.lcm
-        report = realize_plan(build_ramified_system(rd, k), rd)
+        entries = comp.rees_integers
+        k = e // math.lcm(*entries)
+        report = _realization(*_lcm_rows(FAMILY_RAMIFIED, entries, k))
         if report.uniform_rees_integer != e:
             raise NonUniformError(
                 f"component realization reached {report.uniform_rees_integer}, wanted {e}"
@@ -375,9 +371,8 @@ def projective_fullness_check(rees: ReesData | Sequence[int]) -> FullnessReport:
     coordinate per system entry, not one per maximal ideal.
     """
     rd = rees_data(rees)
-    system = build_split_system(rd, 1)
-    report = realize_plan(system, rd)
-    entries = sum(len(row) for row in system.per_valuation)
+    report = _realization(*_lcm_rows(FAMILY_SPLIT, rd.entries, 1))
+    entries = len(rd)
     radical = jacobson_radical(entries)
     extended = SemilocalIdeal((report.jacobson_exponent,) * entries)
     return FullnessReport(

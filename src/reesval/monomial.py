@@ -41,6 +41,7 @@ from .errors import (
     OutputLimitError,
     ParseError,
     ZeroExponentError,
+    int_text,
     read_int,
 )
 from .record import Record
@@ -192,8 +193,8 @@ class MonomialIdeal(Record):
             gens = sorted(zip(*[iter(exps)] * d))
             # sorted and nonnegative, the unit monomial could only come first
             if min(exps) >= 0 and any(gens[0]) and len(_minimal(gens, d)) == len(gens):
-                object.__setattr__(self, "dim", d)
-                object.__setattr__(self, "generators", tuple(gens))
+                MonomialIdeal.dim.__set__(self, d)
+                MonomialIdeal.generators.__set__(self, tuple(gens))
                 return
         raise _first_fault(raw, d)
 
@@ -240,11 +241,11 @@ class ReesValuationSpec(Record):
             if min(normal) < 0:
                 raise ImproperIdealError("valuation normal must be nonnegative")
             raise ImproperIdealError(f"normal {normal} is not primitive")
-        object.__setattr__(self, "normal", normal)
+        ReesValuationSpec.normal.__set__(self, normal)
         e = self.rees_integer
         if e.__class__ is not int or e < 1:
-            object.__setattr__(
-                self, "rees_integer", read_int(e, 1, "Rees integer", NonPositiveError)
+            ReesValuationSpec.rees_integer.__set__(
+                self, read_int(e, 1, "Rees integer", NonPositiveError)
             )
 
 
@@ -262,7 +263,7 @@ class ReesPackage(Record):
         # sorted, equal normals are neighbours
         if any(map(operator.eq, normals, normals[1:])):
             raise ImproperIdealError("duplicate valuation normals")
-        object.__setattr__(self, "valuations", valuations)
+        ReesPackage.valuations.__set__(self, valuations)
 
     @property
     def rees_integers(self) -> tuple[int, ...]:
@@ -411,7 +412,7 @@ def integral_closure_power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
     columns = (bound + 1) ** (d - 1)
     if columns > MAX_CLOSURE_COLUMNS:
         raise OutputLimitError(
-            f"closure has {columns} columns, above the limit of {MAX_CLOSURE_COLUMNS}"
+            f"closure has {int_text(columns)} columns, above the limit of {MAX_CLOSURE_COLUMNS}"
         )
     if d == 1:
         return MonomialIdeal(1, ((k * ideal.generators[0][0],),))

@@ -65,13 +65,18 @@ def _certified_gcd(a: int, b: int) -> int:
     return g
 
 
-def oracle_ramification(model: PuiseuxModel) -> int:
+def _ramification(e: int, k: int) -> int:
     """Index of Z inside the value group extended by the value e/k of u^(1/k).
 
     The group Z + (e/k)Z is computed scaled by k, as the subgroup kZ + eZ
     of Z, whose generator is the certified gcd of k and e.
     """
-    return model.k // _certified_gcd(model.k, model.e)
+    return k // _certified_gcd(k, e)
+
+
+def oracle_ramification(model: PuiseuxModel) -> int:
+    """The ramification of the model's root extension, from the value group."""
+    return _ramification(model.e, model.k)
 
 
 def newton_polygon_irreducible(degree: int, constant_valuation: int) -> bool:

@@ -4,12 +4,12 @@ A record class derives from :class:`Record` and names its fields in
 ``__slots__``, in positional order.  Trailing fields may take defaults
 from the class's ``_defaults`` mapping, and a ``__post_init__`` method,
 where the class defines one, validates and normalises the stored
-values.  Records compare and hash by value within one class, are never
+values.  Every store, in ``__init__`` and in a normalising
+``__post_init__``, goes through the slot's ``Cls.field.__set__``.
+Records compare and hash by value within one class, are never
 equal to a tuple or to a record of another class, reject assignment
 with ``AttributeError`` and print as ``Name(field=value, ...)``.
 """
-
-_store = object.__setattr__
 
 
 class Record:
@@ -17,16 +17,18 @@ class Record:
     _defaults: dict = {}
 
     def __init_subclass__(cls):
-        # compiled once per class, so a record costs one call and one
-        # slot store per field to build
+        # compiled once per class with each slot's setter bound to a name,
+        # so a field costs one direct descriptor call: Record.__setattr__,
+        # which refuses assignment, is never looked up
         names = cls.__slots__
         params = ", ".join(
             f"{n}=_defaults[{n!r}]" if n in cls._defaults else n for n in names
         )
-        body = [f"    _store(self, {n!r}, {n})" for n in names]
+        body = [f"    _set_{n}(self, {n})" for n in names]
         if hasattr(cls, "__post_init__"):
             body.append("    self.__post_init__()")
-        namespace = {"_store": _store, "_defaults": cls._defaults}
+        namespace = {f"_set_{n}": getattr(cls, n).__set__ for n in names}
+        namespace["_defaults"] = cls._defaults
         exec("\n".join([f"def __init__(self, {params}):", *body]), namespace)
         cls.__init__ = namespace["__init__"]
 

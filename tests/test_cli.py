@@ -408,6 +408,29 @@ def test_oracle_disagreement_exits_three(capsys, monkeypatch):
     assert "verification failure" in err
 
 
+# CPython refuses to print an int of more than 4300 digits, so a refusal
+# whose message printed one used to crash with exit 1 and a traceback.
+def _refuses_quickly(capsys, *argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    return err
+
+
+def test_closure_refuses_a_column_count_too_long_to_print(capsys, ideal_file):
+    path = ideal_file(f"dim 3\n{10**2500} 0 0\n0 1 0\n0 0 1\n")
+    err = _refuses_quickly(capsys, "closure", path, "--k", "1")
+    assert err == "error: closure has ~10^5000 columns, above the limit of 100000\n"
+
+
+def test_co2_refuses_an_lcm_too_long_to_print(capsys):
+    big = 10**900
+    components = ",".join(str(big + i) for i in range(6))
+    err = _refuses_quickly(capsys, "co2", "--components", components, "--e", "6")
+    assert err.startswith("error: 6 is not a multiple of the overall lcm ~10^")
+
+
 def test_console_entry_point(tmp_path):
     path = tmp_path / "ideal.txt"
     path.write_text(IDEAL_X2_Y3)

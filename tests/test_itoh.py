@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from reesval import dvrcalc, errors, itoh, krull, puiseux
 from reesval.errors import (
     BadKError,
+    EquivalenceViolation,
     IndexMismatchError,
     NonPositiveError,
     UnitIdealError,
@@ -104,6 +106,45 @@ class TestRadicalityEquivalence:
                 report = radicality_equivalence(entries, k)
                 assert report.agreed
                 assert report.verdict == all(k % e == 0 for e in entries)
+
+    # Each route is broken in turn so that it calls the radical (2, 3), 6
+    # non-radical.  The disagreement must be raised, and only the broken
+    # route may change: the oracle shares no code with the gcd helper, and
+    # the tower and exponent-vector routes read the same gcd exponents.
+    @pytest.mark.parametrize(
+        "target, name, broken, flipped",
+        [
+            (itoh, "_root_invariants", lambda e, k: (k, k, 1),
+             ("via_tower", "via_exponent_vector")),
+            (puiseux, "_ramification", lambda e, k: k, ("via_unextended",)),
+            (itoh, "_radical", lambda exponents: exponents + (0,), ("via_exponent_vector",)),
+            (ReesData, "lcm", property(lambda self: 5), ("via_divisibility",)),
+        ],
+        ids=["gcd-helper", "puiseux-ramification", "exponent-vector", "divisibility"],
+    )
+    def test_each_route_is_independent(self, monkeypatch, target, name, broken, flipped):
+        monkeypatch.setattr(target, name, broken)
+        with pytest.raises(EquivalenceViolation) as info:
+            radicality_equivalence((2, 3), 6)
+        routes = ("via_tower", "via_exponent_vector", "via_unextended", "via_divisibility")
+        verdicts = ", ".join(f"{r}={r not in flipped}" for r in routes)
+        assert str(info.value).endswith(f"EquivalenceReport(k=6, {verdicts})")
+
+
+# Each call reads each of its inputs once, at its boundary: the four Rees
+# integers and k, and nothing its own layers computed.
+@pytest.mark.parametrize("call", [itoh_structure, radicality_equivalence])
+def test_each_input_is_read_once(monkeypatch, call):
+    reads = []
+
+    def counting(value, *args):
+        reads.append(value)
+        return errors.read_int(value, *args)
+
+    for module in (dvrcalc, itoh, krull, puiseux):
+        monkeypatch.setattr(module, "read_int", counting)
+    call((2, 3, 4, 6), 12)
+    assert sorted(reads) == [2, 3, 4, 6, 12]
 
 
 class TestSemilocalArithmetic:
