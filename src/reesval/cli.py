@@ -23,6 +23,7 @@ from .errors import (
     OracleDisagreement,
     OutputLimitError,
     VerificationError,
+    int_text,
 )
 from .record import Record
 
@@ -99,6 +100,32 @@ def render_text(report: Report) -> str:
         lines.extend(_text_lines(report.input_echo, 1))
     lines.extend(_text_lines(report.payload))
     return "\n".join(lines) + "\n"
+
+
+def _largest_int(value: object) -> int:
+    """The largest absolute value of an int anywhere in a report value."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return max(map(_largest_int, value), default=0)
+    return abs(value) if isinstance(value, int) else 0
+
+
+def _render(report: Report, as_json: bool) -> str:
+    """The report as JSON or text, refusing one that holds an int too long for ``str``.
+
+    CPython converts no int of more than 4300 digits to decimal, in
+    ``str`` and ``json.dumps`` alike, and raises ``ValueError``; every
+    printed integer passes through one of the two renderers, so this is
+    the one place that turns that into an ``OutputLimitError``.
+    """
+    try:
+        return render_json(report) if as_json else render_text(report)
+    except ValueError:
+        size = int_text(_largest_int(report.to_dict()))
+        raise OutputLimitError(
+            f"the report holds an integer of {size}, too long to print"
+        ) from None
 
 
 def _parse_rees_flag(raw: str):
@@ -400,6 +427,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         report = args.func(args)
+        text = _render(report, args.json)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -408,10 +436,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_VERIFICATION
     for warning in report.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    if args.json:
-        sys.stdout.write(render_json(report))
-    else:
-        sys.stdout.write(render_text(report))
+    sys.stdout.write(text)
     return EXIT_OK
 
 

@@ -81,10 +81,10 @@ def is_consistent(system: ConsistentSystem) -> bool:
     )
 
 
-def _lcm_rows(family: str, entries: tuple[int, ...], k: int) -> tuple[int, list]:
-    """Degree k*lcm of family S, T or U, and its one entry per Rees integer
-    e_j as (e_j, residue degree, ramification, multiplicity), of e*f*mult k*lcm."""
-    m0 = math.lcm(*entries)
+def _lcm_rows(family: str, entries: tuple[int, ...], m0: int, k: int) -> tuple[int, list]:
+    """Degree k*m0 of family S, T or U, m0 the lcm of ``entries``, and its one entry
+    per Rees integer e_j as (e_j, residue degree, ramification, multiplicity), of
+    e*f*mult k*m0."""
     if family == FAMILY_SPLIT:
         return k * m0, [(e, 1, m0 // e, k * e) for e in entries]
     if family == FAMILY_INERT:
@@ -95,7 +95,7 @@ def _lcm_rows(family: str, entries: tuple[int, ...], k: int) -> tuple[int, list]
 def _lcm_family(family: str, rees: ReesData | Sequence[int], k: int) -> ConsistentSystem:
     rd = rees_data(rees)
     k = read_int(k, 1, "parameter k", NonPositiveError)
-    m, rows = _lcm_rows(family, rd.entries, k)
+    m, rows = _lcm_rows(family, rd.entries, rd.lcm, k)
     per = tuple([(SystemEntry(f, c, n),) for _, f, c, n in rows])
     return ConsistentSystem(m=m, per_valuation=per, family=family)
 
@@ -326,8 +326,8 @@ def direct_sum_plan(plan: ComponentPlan, e: int) -> DirectSumReport:
             )
             continue
         entries = comp.rees_integers
-        k = e // math.lcm(*entries)
-        report = _realization(*_lcm_rows(FAMILY_RAMIFIED, entries, k))
+        m0 = math.lcm(*entries)
+        report = _realization(*_lcm_rows(FAMILY_RAMIFIED, entries, m0, e // m0))
         if report.uniform_rees_integer != e:
             raise NonUniformError(
                 f"component realization reached {report.uniform_rees_integer}, wanted {e}"
@@ -371,7 +371,7 @@ def projective_fullness_check(rees: ReesData | Sequence[int]) -> FullnessReport:
     coordinate per system entry, not one per maximal ideal.
     """
     rd = rees_data(rees)
-    report = _realization(*_lcm_rows(FAMILY_SPLIT, rd.entries, 1))
+    report = _realization(*_lcm_rows(FAMILY_SPLIT, rd.entries, rd.lcm, 1))
     entries = len(rd)
     radical = jacobson_radical(entries)
     extended = SemilocalIdeal((report.jacobson_exponent,) * entries)

@@ -431,6 +431,33 @@ def test_co2_refuses_an_lcm_too_long_to_print(capsys):
     assert err.startswith("error: 6 is not a multiple of the overall lcm ~10^")
 
 
+# Every printed integer passes through the text or JSON renderer, which
+# refuses a report holding one too long for str.
+@pytest.mark.parametrize("fmt", [(), ("--json",)], ids=["text", "json"])
+def test_itoh_refuses_an_lcm_too_long_to_print(capsys, fmt):
+    rees = ",".join(str(10**900 + i) for i in range(6))
+    err = _refuses_quickly(capsys, "itoh", "--rees", rees, "--k", "2", *fmt)
+    assert err == "error: the report holds an integer of ~10^5397, too long to print\n"
+
+
+def test_itoh_refuses_the_lcm_of_many_integers(capsys):
+    rees = ",".join(map(str, range(1, 22001)))
+    err = _refuses_quickly(capsys, "itoh", "--rees", rees, "--k", "2")
+    assert err == "error: the report holds an integer of ~10^9548, too long to print\n"
+
+
+def test_krull_refuses_a_degree_too_long_to_print(capsys):
+    argv = ("--rees", str(10**3000 + 1), "--k", str(10**3000), "--family", "T")
+    err = _refuses_quickly(capsys, "krull", *argv)
+    assert err == "error: the report holds an integer of ~10^6000, too long to print\n"
+
+
+def test_rees_refuses_a_rees_integer_too_long_to_print(capsys, ideal_file):
+    path = ideal_file(f"dim 2\n{10**3000} 0\n0 {10**3000 + 1}\n")
+    err = _refuses_quickly(capsys, "rees", path)
+    assert err == "error: the report holds an integer of ~10^6000, too long to print\n"
+
+
 def test_console_entry_point(tmp_path):
     path = tmp_path / "ideal.txt"
     path.write_text(IDEAL_X2_Y3)

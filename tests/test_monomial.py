@@ -588,6 +588,23 @@ class TestIntegralClosure:
         for k in range(1, 5):
             assert integral_closure_power(ideal, k).generators == box_scan_closure(ideal, k)
 
+    # Each line of the walk ends at the first zero of a lower line.
+    @pytest.mark.parametrize(
+        "gens",
+        [
+            # lines reach zero early, and at different columns
+            {(5, 0, 0), (0, 2, 0), (0, 0, 3), (1, 1, 1)},
+            # every member has z >= 1, so no line is ever cut short
+            {(1, 0, 1), (0, 1, 1)},
+            # the ruled-out prefix of y shortens as x grows
+            {(2, 1, 0), (0, 1, 3)},
+        ],
+    )
+    def test_truncated_walk_matches_box_scan(self, gens):
+        ideal = minimalize(gens, 3)
+        for k in range(1, 5):
+            assert integral_closure_power(ideal, k).generators == box_scan_closure(ideal, k)
+
     # closure(I^k) = I * closure(I^(k-1)) for k >= d (Reid, Roberts and
     # Vitulli 2003): a certificate that uses no facets and no
     # Fourier-Motzkin, only a product and minimalize.
