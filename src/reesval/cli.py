@@ -3,13 +3,12 @@
 Every subcommand prints a deterministic text report on stdout, or a
 canonical JSON document with ``--json`` (keys sorted, integers only, no
 floats anywhere).  Warnings go to stderr and are also embedded in the
-report.  Exit codes: 0 success, 2 input error, 3 internal verification
-failure.
+report.  Exit codes: 0 success, 2 input error (a malformed argv too), 3
+internal verification failure.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import sys
 from collections.abc import Sequence
@@ -17,6 +16,7 @@ from collections.abc import Sequence
 # Each command imports the modules it uses, so a process pays only for
 # its own command.
 from .errors import (
+    ArgvError,
     BadKError,
     InputError,
     NonUniformError,
@@ -26,6 +26,8 @@ from .errors import (
     int_text,
 )
 from .record import Record
+
+Namespace = type(sys.implementation)  # types.SimpleNamespace, without importing types
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -161,7 +163,7 @@ def _ideal_echo(ideal) -> dict[str, object]:
     }
 
 
-def cmd_rees(args: argparse.Namespace) -> Report:
+def cmd_rees(args: Namespace) -> Report:
     from .monomial import rees_valuations
 
     ideal = _read_ideal(args.ideal_file)
@@ -177,7 +179,7 @@ def cmd_rees(args: argparse.Namespace) -> Report:
     return Report("rees", _ideal_echo(ideal), payload)
 
 
-def cmd_closure(args: argparse.Namespace) -> Report:
+def cmd_closure(args: Namespace) -> Report:
     from .monomial import integral_closure_power, monomial_str
 
     ideal = _read_ideal(args.ideal_file)
@@ -191,7 +193,7 @@ def cmd_closure(args: argparse.Namespace) -> Report:
     return Report("closure", echo, payload)
 
 
-def cmd_itoh(args: argparse.Namespace) -> Report:
+def cmd_itoh(args: Namespace) -> Report:
     from .itoh import itoh_structure
 
     rees = _parse_rees_flag(args.rees)
@@ -215,7 +217,7 @@ def cmd_itoh(args: argparse.Namespace) -> Report:
     return Report("itoh", echo, payload)
 
 
-def cmd_tower(args: argparse.Namespace) -> Report:
+def cmd_tower(args: Namespace) -> Report:
     from .dvrcalc import check_fundamental, general_k_extension
 
     step = general_k_extension(args.e, args.k)
@@ -264,7 +266,7 @@ def _system_payload(system) -> dict[str, object]:
     }
 
 
-def cmd_krull(args: argparse.Namespace) -> Report:
+def cmd_krull(args: Namespace) -> Report:
     from . import krull
 
     rees = _parse_rees_flag(args.rees)
@@ -299,7 +301,7 @@ def cmd_krull(args: argparse.Namespace) -> Report:
     else:
         if plan.maximal_ideal_count > MAX_MAXIMAL_IDEALS:
             raise OutputLimitError(
-                f"realization has {plan.maximal_ideal_count} maximal ideals, "
+                f"realization has {int_text(plan.maximal_ideal_count)} maximal ideals, "
                 f"above the limit of {MAX_MAXIMAL_IDEALS}"
             )
         payload["realization"] = {
@@ -337,7 +339,7 @@ def _parse_components(raw: str):
     return ComponentPlan(tuple(components))
 
 
-def cmd_co2(args: argparse.Namespace) -> Report:
+def cmd_co2(args: Namespace) -> Report:
     from .krull import direct_sum_plan
 
     plan = _parse_components(args.components)
@@ -366,66 +368,119 @@ def cmd_co2(args: argparse.Namespace) -> Report:
     return Report("co2", echo, payload)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="reesval",
-        description="Exact calculus of Rees valuations, root-extension towers, and Krull consistent systems.",
-    )
-    parser.add_argument("--json", action="store_true", help="emit a canonical JSON report")
-    # accepted after the subcommand as well; SUPPRESS keeps the
-    # subparser from clobbering a --json given before it
-    json_opt = dict(action="store_true", default=argparse.SUPPRESS, help=argparse.SUPPRESS)
-    sub = parser.add_subparsers(dest="command", required=True)
+_IDEAL_FILE = (str, True, "a 'dim d' line, then the d exponents of one generator per line")
+# name: (handler, help, arguments); an argument is (kind, required, help), where kind is
+# bool for a flag and otherwise the type of its value; a name without "-" is positional
+COMMANDS = {
+    "rees": (cmd_rees, "Rees valuations of a monomial ideal", {"ideal_file": _IDEAL_FILE}),
+    "closure": (cmd_closure, "integral closure of a power of a monomial ideal", {
+        "ideal_file": _IDEAL_FILE,
+        "--k": (int, True, "the power")}),
+    "itoh": (cmd_itoh, "valuation towers and radicality for Rees data", {
+        "--rees": (str, True, "comma-separated Rees integers"),
+        "--k": (int, True, "the root order")}),
+    "tower": (cmd_tower, "invariants of adjoining a k-th root of u", {
+        "--e": (int, True, "the value of u"),
+        "--k": (int, True, "the root order"),
+        "--oracle": (bool, False, "cross-check with the independent oracle")}),
+    "krull": (cmd_krull, "consistent systems and realization plans", {
+        "--rees": (str, True, "comma-separated Rees integers"),
+        "--k": (int, True, "the family's parameter"),
+        "--family": (str, True, "system family code; an unknown code lists the valid ones"),
+        "--has-extra-dvr": (bool, False, "a DVR outside the system exists (condition 2)"),
+        "--has-separable-approximation": (bool, False, "approximation holds (condition 3)"),
+        "--residues-algebraically-closed": (bool, False, "warn about inert prescriptions")}),
+    "co2": (cmd_co2, "direct-sum extension plan over ring components", {
+        "--components": (str, True, "semicolon-separated Rees lists"),
+        "--e": (int, True, "the target Rees integer")}),
+}
+# read before and after the command; kind None is the help
+_COMMON = {"--json": (bool, False, ""), "--help": (None, False, ""), "-h": (None, False, "")}
 
-    p = sub.add_parser("rees", help="Rees valuations of a monomial ideal")
-    p.add_argument("ideal_file")
-    p.add_argument("--json", **json_opt)
-    p.set_defaults(func=cmd_rees)
 
-    p = sub.add_parser("closure", help="integral closure of a power of a monomial ideal")
-    p.add_argument("ideal_file")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--json", **json_opt)
-    p.set_defaults(func=cmd_closure)
+def _shape(argument: str, kind) -> str:
+    return argument if kind is bool or argument[0] != "-" else f"{argument} {argument[2:].upper()}"
 
-    p = sub.add_parser("itoh", help="valuation towers and radicality for Rees data")
-    p.add_argument("--rees", required=True, help="comma-separated Rees integers")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--json", **json_opt)
-    p.set_defaults(func=cmd_itoh)
 
-    p = sub.add_parser("tower", help="invariants of adjoining a k-th root of u")
-    p.add_argument("--e", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--oracle", action="store_true", help="cross-check with the independent oracle")
-    p.add_argument("--json", **json_opt)
-    p.set_defaults(func=cmd_tower)
+def _help(name: str | None) -> str:
+    """The help of a command, or of the CLI for None; its first line is the usage."""
+    if name is None:
+        usage = f"[-h] [--json] {{{','.join(COMMANDS)}}} ..."
+        about = "Exact calculus of Rees valuations, root-extension towers and Krull systems."
+        rows = {command: spec[1] for command, spec in COMMANDS.items()}
+    else:
+        _, about, arguments = COMMANDS[name]
+        words = [_shape(a, s[0]) if s[1] else f"[{_shape(a, s[0])}]" for a, s in arguments.items()]
+        usage = " ".join([name, "[-h] [--json]", *words])
+        rows = {_shape(a, s[0]): s[2] for a, s in arguments.items()}
+    rows |= {"--json": "emit a canonical JSON report", "-h, --help": "show this help and exit"}
+    table = "".join(f"\n  {a:<31} {b}" for a, b in rows.items())
+    return f"usage: reesval {usage}\n\n{about}\n{table}\n"
 
-    p = sub.add_parser("krull", help="consistent systems and realization plans")
-    p.add_argument("--rees", required=True, help="comma-separated Rees integers")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument(
-        "--family", required=True, help="system family code; an unknown code lists the valid ones"
-    )
-    p.add_argument("--has-extra-dvr", action="store_true")
-    p.add_argument("--has-separable-approximation", action="store_true")
-    p.add_argument("--residues-algebraically-closed", action="store_true")
-    p.add_argument("--json", **json_opt)
-    p.set_defaults(func=cmd_krull)
 
-    p = sub.add_parser("co2", help="direct-sum extension plan over ring components")
-    p.add_argument("--components", required=True, help="semicolon-separated Rees lists")
-    p.add_argument("--e", type=int, required=True)
-    p.add_argument("--json", **json_opt)
-    p.set_defaults(func=cmd_co2)
+def parse_args(argv: Sequence[str] | None = None) -> Namespace:
+    """The handler's namespace of an argv, read against ``COMMANDS`` as argparse read it:
+    ``--opt value`` or ``--opt=value``, unique prefixes, ``--json`` before or after the command,
+    ``--`` before a positional, the last repeat winning.  ``ArgvError`` refuses; -h exits 0."""
+    fields, name, rest = {}, None, False
+    options, slots = {"command": (str, True, ""), **_COMMON}, ["command"]
 
-    return parser
+    def refuse(message: str) -> ArgvError:
+        return ArgvError(message + "\n" + _help(name).partition("\n")[0])
+
+    def is_value(token: str) -> bool:
+        # as argparse: no leading "-", or "-", or a negative number or spaced text naming no option
+        whole, dot, fraction = token[1:].partition(".")
+        number = (not whole or whole.isdecimal()) and (fraction if dot else whole).isdecimal()
+        return token[:1] != "-" or token == "-" or (number or " " in token) and not any(
+            option.startswith(token.partition("=")[0]) for option in options)
+
+    tokens = iter(sys.argv[1:] if argv is None else argv)
+    for token in tokens:
+        if token == "--" and not rest and slots:
+            rest = True
+        elif rest or token == "--" or is_value(token):
+            if not slots or name is None and token not in COMMANDS:
+                raise refuse(f"unexpected argument {token!r}")
+            fields[slots.pop(0)] = token
+            if name is None:
+                name = token
+                fields["func"], _, arguments = COMMANDS[name]
+                options, slots = {**arguments, **_COMMON}, [a for a in arguments if a[0] != "-"]
+        else:
+            key, eq, value = token.partition("=")
+            found = [key] if key in options else [o for o in options if o.startswith(key)]
+            if len(found) != 1:
+                raise refuse(f"{'ambiguous' if found else 'unknown'} option {key}")
+            option, kind = found[0], options[found[0]][0]
+            if eq and kind in (bool, None):
+                raise refuse(f"{option} takes no value")
+            if kind is None:
+                sys.stdout.write(_help(name))
+                raise SystemExit(0)
+            if kind is not bool and not eq:
+                value = next(tokens, "--")  # at the end of argv, "--": no value
+                if not is_value(value):
+                    raise refuse(f"{option} expects a value")
+            try:
+                fields[option] = True if kind is bool else kind(value)
+            except ValueError:
+                raise refuse(f"{option}: invalid int value {value!r}") from None
+    missing = [o for o, spec in options.items() if spec[1] and o not in fields]
+    if missing:
+        raise refuse(f"missing {', '.join(missing)}")
+    fields = {**{o: False for o, spec in options.items() if spec[0] is bool}, **fields}
+    return Namespace(**{key.lstrip("-").replace("-", "_"): v for key, v in fields.items()})
+
+
+def build_parser() -> Namespace:
+    """The argv reader, called as ``build_parser().parse_args(argv)`` as in the argparse CLI."""
+    return Namespace(parse_args=parse_args)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parse_args(argv)
         report = args.func(args)
         text = _render(report, args.json)
     except InputError as exc:

@@ -88,6 +88,10 @@ class OutputLimitError(InputError):
     """The answer would exceed a stated size limit."""
 
 
+class ArgvError(InputError):
+    """A malformed command line; the message's last line is the usage line."""
+
+
 class ParseError(InputError):
     """Malformed text input; carries the 1-based offending line number."""
 

@@ -213,7 +213,9 @@ def _realization(m: int, rows: list) -> RealizationReport:
     exponents = tuple([e_j * c for e_j, _, c, _ in rows])
     first = exponents[0]
     if any(x != first for x in exponents):
-        raise NonUniformError(f"extended ideal exponents are not uniform: {exponents}")
+        # int_text: an exponent too long for str would crash the message
+        listed = ", ".join(map(int_text, exponents))
+        raise NonUniformError(f"extended ideal exponents are not uniform: ({listed})")
     return RealizationReport(m, sum([n for _, _, _, n in rows]), first)
 
 

@@ -452,6 +452,29 @@ def test_krull_refuses_a_degree_too_long_to_print(capsys):
     assert err == "error: the report holds an integer of ~10^6000, too long to print\n"
 
 
+# P and Q are coprime to 10, so at k = 10^4000 each Rees integer's
+# ramification is k itself and its exponent P*k or Q*k has 6001 digits.
+_P, _Q, _K = 10**2000 + 1, 10**2000 + 3, 10**4000
+
+
+def test_krull_refuses_a_maximal_ideal_count_too_long_to_print(capsys):
+    argv = ("--rees", f"{_P},{_Q}", "--k", str(_K), "--family", "S")
+    err = _refuses_quickly(capsys, "krull", *argv)
+    assert err == "error: realization has ~10^6000 maximal ideals, above the limit of 100000\n"
+
+
+def test_krull_root_family_with_exponents_too_long_to_print_answers(capsys):
+    # the non-uniform exponents went into a message that str could not
+    # print; every integer of the report itself has at most 4001 digits
+    start = time.perf_counter()
+    argv = ("--rees", f"{_P},{_Q}", "--k", str(_K), "--family", "EXP2")
+    code, out, err = run_cli(capsys, "krull", *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert "realization: none\n" in out
+    assert err == "warning: extended ideal exponents are not uniform; realization report omitted\n"
+
+
 def test_rees_refuses_a_rees_integer_too_long_to_print(capsys, ideal_file):
     path = ideal_file(f"dim 2\n{10**3000} 0\n0 {10**3000 + 1}\n")
     err = _refuses_quickly(capsys, "rees", path)
@@ -479,16 +502,29 @@ def test_unknown_flag_exits_two():
     assert proc.returncode == 2
 
 
-# The robustness contract: on any argv and any ideal file, main answers
-# (0) or refuses (2 for bad input, 3 for a failed cross-check) within a
-# second, and prints nothing on stdout unless it answers.  Integers reach
-# 10^12 and exponents 10^9; small values keep the computing paths busy,
-# and repeated branches make well-formed flags twice as likely as text.
+# The robustness contract: on any argv and any ideal file, main returns
+# within a second, never raises, answers (0) or refuses (2 for bad input,
+# 3 for a failed cross-check), and prints nothing on stdout unless it
+# answers.  Integers reach 10^12 and exponents 10^9; small values keep the
+# computing paths busy, and repeated branches make well-formed flags twice
+# as likely as text.  Huge values pass the 4300 digits that str prints:
+# k and e up to 10^3000 and past 10^4400 (which int() refuses to read),
+# short lists of consecutive integers up to 10^3000, whose lcm has more
+# digits, and exponents up to 10^3000.
 _INTEGER = st.one_of(st.integers(-3, 40), st.integers(-3, 10**12))
-_FLAG = st.one_of(_INTEGER.map(str), st.integers(1, 40).map(str), st.text(max_size=8))
+_HUGE = st.one_of(
+    st.integers(1, 10**3000).map(str),
+    # past 4300 digits, so written without str
+    st.builds(lambda head, zeros: f"{head}{'0' * zeros}", st.integers(1, 10**6), st.integers(4300, 4400)),
+)
+_FLAG = st.one_of(_INTEGER.map(str), st.integers(1, 40).map(str), st.text(max_size=8), _HUGE)
 _REES_LIST = st.lists(_INTEGER, min_size=1, max_size=6).map(lambda xs: ",".join(map(str, xs)))
-_REES = st.one_of(_REES_LIST, _REES_LIST, st.text(max_size=12))
-_EXPONENT = st.one_of(st.integers(0, 8), st.integers(0, 10**9))
+_CONSECUTIVE = st.builds(
+    lambda start, n: ",".join(str(start + i) for i in range(n)),
+    st.integers(10**500, 10**3000), st.integers(2, 6),
+)
+_REES = st.one_of(_REES_LIST, _REES_LIST, st.text(max_size=12), _CONSECUTIVE)
+_EXPONENT = st.one_of(st.integers(0, 8), st.integers(0, 10**9), st.integers(0, 10**3000))
 
 
 @st.composite
@@ -540,10 +576,7 @@ def test_main_answers_or_refuses_within_a_second(tmp_path_factory, call):
     out, err = io.StringIO(), io.StringIO()
     start = time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse refuses a malformed argv
-            code = exc.code
+        code = main(argv)
     assert time.perf_counter() - start < 1.0, argv
     assert code in (0, 2, 3), (argv, err.getvalue())
     if code:

@@ -61,6 +61,10 @@ def test_cli_loads_only_errors_and_record():
     ]
 
 
+def test_cli_loads_no_argv_parser():
+    assert set(loaded_modules("import reesval.cli")).isdisjoint(ARGV_PARSING)
+
+
 def test_tower_loads_no_krull_monomial_or_itoh():
     loaded = loaded_by_command("tower", "--e", "4", "--k", "6")
     assert "reesval.dvrcalc" in loaded
@@ -105,6 +109,10 @@ EVERY_COMMAND = [
 # fractions pulls in decimal; the library computes with integers only
 HEAVY = {"dataclasses", "inspect", "fractions", "decimal"}
 
+# the CLI reads argv from its own table; argparse and its gettext cost
+# ~1.2 ms to import and ~1.4 ms to build the parsers in every process
+ARGV_PARSING = {"argparse", "gettext"}
+
 
 @pytest.fixture
 def ideal_file(tmp_path):
@@ -126,3 +134,11 @@ def test_json_commands_load_no_typing_without_site(command, ideal_file):
     loaded = loaded_by_command(*argv, flags=("-S",))
     assert "json" in loaded
     assert loaded.isdisjoint({"typing"} | HEAVY)
+
+
+@pytest.mark.parametrize("flags", [(), ("-S",)], ids=["site", "no-site"])
+@pytest.mark.parametrize("form", [(), ("--json",)], ids=["text", "json"])
+@pytest.mark.parametrize("command", EVERY_COMMAND, ids=lambda command: command[0])
+def test_commands_load_no_argv_parser(command, form, flags, ideal_file):
+    argv = (*form, *(a.format(ideal=ideal_file) for a in command))
+    assert loaded_by_command(*argv, flags=flags).isdisjoint(ARGV_PARSING)

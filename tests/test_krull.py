@@ -246,6 +246,15 @@ class TestRealizePlan:
         assert time.perf_counter() - start < 1.0
         assert str(info.value) == f"extended ideal exponents are not uniform: (1, {2 * big})"
 
+    def test_non_uniform_exponents_too_long_to_print_are_written_by_size(self):
+        # P * k and Q * k have 6001 digits, more than str prints
+        rees, k = (10**2000 + 1, 10**2000 + 3), 10**4000
+        with pytest.raises(NonUniformError) as info:
+            realize_plan(build_root_adjunction_system(rees, k), rees)
+        assert str(info.value) == (
+            "extended ideal exponents are not uniform: (~10^6000, ~10^6000)"
+        )
+
     def test_root_adjunction_at_common_multiple(self):
         plan = realize_plan(build_root_adjunction_system((2, 3), 6), (2, 3))
         assert plan.uniform_rees_integer == 6
