@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Every subcommand prints a deterministic text report on stdout, or a
-canonical JSON document with ``--json`` (keys sorted, integers only, no
-floats anywhere).  Warnings go to stderr and are also embedded in the
-report.  Exit codes: 0 success, 2 input error (a malformed argv too), 3
-internal verification failure.
+Every subcommand returns its report as a dict of ``command``, ``input``,
+``payload`` and ``warnings``, and prints it as deterministic text on
+stdout, or as a canonical JSON document with ``--json`` (keys sorted,
+integers only, no floats anywhere).  Warnings go to stderr and are
+also embedded in the report.  Exit codes: 0 success, 2 input error (a
+malformed argv too), 3 internal verification failure.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .errors import (
     VerificationError,
     int_text,
 )
-from .record import Record
 
 Namespace = type(sys.implementation)  # types.SimpleNamespace, without importing types
 
@@ -38,23 +38,10 @@ EXIT_VERIFICATION = 3
 MAX_MAXIMAL_IDEALS = 100_000
 
 
-class Report(Record):
-    __slots__ = ("command", "input_echo", "payload", "warnings")
-    _defaults = {"warnings": ()}
-
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "command": self.command,
-            "input": self.input_echo,
-            "payload": self.payload,
-            "warnings": list(self.warnings),
-        }
-
-
-def render_json(report: Report) -> str:
+def render_json(report: dict) -> str:
     import json  # only --json output needs it
 
-    return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
 def _inline(value: object) -> str | None:
@@ -95,12 +82,12 @@ def _text_lines(value: dict | list | tuple, indent: int = 0) -> list[str]:
     return lines
 
 
-def render_text(report: Report) -> str:
-    lines = [f"command: {report.command}"]
-    if report.input_echo:
+def render_text(report: dict) -> str:
+    lines = [f"command: {report['command']}"]
+    if report["input"]:
         lines.append("input:")
-        lines.extend(_text_lines(report.input_echo, 1))
-    lines.extend(_text_lines(report.payload))
+        lines.extend(_text_lines(report["input"], 1))
+    lines.extend(_text_lines(report["payload"]))
     return "\n".join(lines) + "\n"
 
 
@@ -113,7 +100,7 @@ def _largest_int(value: object) -> int:
     return abs(value) if isinstance(value, int) else 0
 
 
-def _render(report: Report, as_json: bool) -> str:
+def _render(report: dict, as_json: bool) -> str:
     """The report as JSON or text, refusing one that holds an int too long for ``str``.
 
     CPython converts no int of more than 4300 digits to decimal, in
@@ -124,7 +111,7 @@ def _render(report: Report, as_json: bool) -> str:
     try:
         return render_json(report) if as_json else render_text(report)
     except ValueError:
-        size = int_text(_largest_int(report.to_dict()))
+        size = int_text(_largest_int(report))
         raise OutputLimitError(
             f"the report holds an integer of {size}, too long to print"
         ) from None
@@ -163,7 +150,7 @@ def _ideal_echo(ideal) -> dict[str, object]:
     }
 
 
-def cmd_rees(args: Namespace) -> Report:
+def cmd_rees(args: Namespace) -> dict:
     from .monomial import rees_valuations
 
     ideal = _read_ideal(args.ideal_file)
@@ -176,10 +163,10 @@ def cmd_rees(args: Namespace) -> Report:
         "rees_integers": list(package.rees_integers),
         "lcm": math.lcm(*package.rees_integers),
     }
-    return Report("rees", _ideal_echo(ideal), payload)
+    return {"command": "rees", "input": _ideal_echo(ideal), "payload": payload, "warnings": []}
 
 
-def cmd_closure(args: Namespace) -> Report:
+def cmd_closure(args: Namespace) -> dict:
     from .monomial import integral_closure_power, monomial_str
 
     ideal = _read_ideal(args.ideal_file)
@@ -190,10 +177,10 @@ def cmd_closure(args: Namespace) -> Report:
         "closure_generators": [list(g) for g in closure.generators],
         "monomials": [monomial_str(g) for g in closure.generators],
     }
-    return Report("closure", echo, payload)
+    return {"command": "closure", "input": echo, "payload": payload, "warnings": []}
 
 
-def cmd_itoh(args: Namespace) -> Report:
+def cmd_itoh(args: Namespace) -> dict:
     from .itoh import itoh_structure
 
     rees = _parse_rees_flag(args.rees)
@@ -214,10 +201,10 @@ def cmd_itoh(args: Namespace) -> Report:
         "least_radical_k": report.least_radical_k,
     }
     echo = {"rees_integers": list(rees.entries), "k": args.k}
-    return Report("itoh", echo, payload)
+    return {"command": "itoh", "input": echo, "payload": payload, "warnings": []}
 
 
-def cmd_tower(args: Namespace) -> Report:
+def cmd_tower(args: Namespace) -> dict:
     from .dvrcalc import check_fundamental, general_k_extension
 
     step = general_k_extension(args.e, args.k)
@@ -244,7 +231,7 @@ def cmd_tower(args: Namespace) -> Report:
                 f"calculus {step.invariants} disagrees with oracle {(deg, ram, res)}"
             )
     echo = {"e": args.e, "k": args.k, "oracle": bool(args.oracle)}
-    return Report("tower", echo, payload)
+    return {"command": "tower", "input": echo, "payload": payload, "warnings": []}
 
 
 def _system_payload(system) -> dict[str, object]:
@@ -266,7 +253,7 @@ def _system_payload(system) -> dict[str, object]:
     }
 
 
-def cmd_krull(args: Namespace) -> Report:
+def cmd_krull(args: Namespace) -> dict:
     from . import krull
 
     rees = _parse_rees_flag(args.rees)
@@ -318,7 +305,7 @@ def cmd_krull(args: Namespace) -> Report:
         "has_extra_dvr": args.has_extra_dvr,
         "has_separable_approximation": args.has_separable_approximation,
     }
-    return Report("krull", echo, payload, warnings)
+    return {"command": "krull", "input": echo, "payload": payload, "warnings": warnings}
 
 
 def _parse_components(raw: str):
@@ -339,7 +326,7 @@ def _parse_components(raw: str):
     return ComponentPlan(tuple(components))
 
 
-def cmd_co2(args: Namespace) -> Report:
+def cmd_co2(args: Namespace) -> dict:
     from .krull import direct_sum_plan
 
     plan = _parse_components(args.components)
@@ -365,7 +352,7 @@ def cmd_co2(args: Namespace) -> Report:
         "combined_rees_integers": list(report.combined_rees_integers),
     }
     echo = {"components": args.components, "e": args.e}
-    return Report("co2", echo, payload)
+    return {"command": "co2", "input": echo, "payload": payload, "warnings": []}
 
 
 _IDEAL_FILE = (str, True, "a 'dim d' line, then the d exponents of one generator per line")
@@ -489,7 +476,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
-    for warning in report.warnings:
+    for warning in report["warnings"]:
         print(f"warning: {warning}", file=sys.stderr)
     sys.stdout.write(text)
     return EXIT_OK

@@ -34,21 +34,17 @@ class DVRSpec(Record):
 
     __slots__ = ("uniformizer_exponent", "transcendentals")
     _defaults = {"transcendentals": 0}
-
-    def __post_init__(self):
-        read_int(self.uniformizer_exponent, 1, "uniformizer exponent", NonPositiveError)
-        read_int(self.transcendentals, 0, "transcendental count", NonPositiveError)
+    _ints = {
+        "uniformizer_exponent": (1, "uniformizer exponent", NonPositiveError),
+        "transcendentals": (0, "transcendental count", NonPositiveError),
+    }
 
 
 class ExtensionStep(Record):
     """One extension of DVRs with its three invariants."""
 
     __slots__ = ("degree", "ramification", "residue_degree")
-
-    def __post_init__(self):
-        read_int(self.degree, 1, "degree", NonPositiveError)
-        read_int(self.ramification, 1, "ramification", NonPositiveError)
-        read_int(self.residue_degree, 1, "residue_degree", NonPositiveError)
+    _ints = {n: (1, n, NonPositiveError) for n in __slots__}
 
     @property
     def invariants(self) -> tuple[int, int, int]:

@@ -72,10 +72,6 @@ class IndexMismatchError(InputError):
     pass
 
 
-class UnitIdealError(InputError):
-    pass
-
-
 class InconsistentSystemError(InputError):
     pass
 

@@ -1,12 +1,11 @@
-"""Valuation towers over Rees data and the semilocal Dedekind ideal model.
+"""Valuation towers over Rees data.
 
 Given the Rees integers e_1, ..., e_n of an ideal, adjoining a k-th
 root of the distinguished degree-(-1) element produces one valuation
 per Rees valuation; its invariants are pure gcd arithmetic in (e_j, k),
 and the extended principal ideal is the exponent vector (h_1, ..., h_n)
-over the maximal ideals of a semilocal Dedekind domain.  Radicality,
-radicals, projective equivalence and projective fullness of such
-ideals are all decided by exponent arithmetic.
+over the maximal ideals of a semilocal Dedekind domain.  Its
+radicality is decided by exponent arithmetic on int tuples.
 """
 
 from __future__ import annotations
@@ -17,9 +16,7 @@ from collections.abc import Iterable, Sequence
 from .errors import (
     BadKError,
     EquivalenceViolation,
-    IndexMismatchError,
     NonPositiveError,
-    UnitIdealError,
     read_int,
 )
 from .dvrcalc import _root_invariants
@@ -66,29 +63,6 @@ class ItohReport(Record):
     @property
     def u_exponents(self) -> tuple[int, ...]:
         return tuple(r.u_exponent for r in self.per_valuation)
-
-
-class SemilocalIdeal(Record):
-    """A nonzero ideal of a semilocal Dedekind domain as an exponent vector.
-
-    Entry i is the multiplicity of the i-th maximal ideal; the all-zero
-    vector is the unit ideal.
-    """
-
-    __slots__ = ("exponents",)
-
-    def __post_init__(self):
-        exps = tuple([read_int(e, 0, "exponent", NonPositiveError) for e in self.exponents])
-        if not exps:
-            raise NonPositiveError("exponent vector must be nonempty")
-        SemilocalIdeal.exponents.__set__(self, exps)
-
-    def __len__(self) -> int:
-        return len(self.exponents)
-
-    @property
-    def is_unit(self) -> bool:
-        return all(e == 0 for e in self.exponents)
 
 
 def itoh_structure(rees: ReesData | Sequence[int], k: int) -> ItohReport:
@@ -172,46 +146,3 @@ def radicality_equivalence(rees: ReesData | Sequence[int], k: int) -> Equivalenc
 def _radical(exponents: tuple[int, ...]) -> tuple[int, ...]:
     """The radical's exponent vector: every positive exponent clamps to one."""
     return tuple([min(e, 1) for e in exponents])
-
-
-def semilocal_radical(a: SemilocalIdeal) -> SemilocalIdeal:
-    """Radical of an ideal: every positive exponent clamps to one."""
-    return SemilocalIdeal(_radical(a.exponents))
-
-
-def jacobson_radical(n: int) -> SemilocalIdeal:
-    """Jacobson radical of a semilocal Dedekind domain with n maximal ideals."""
-    return SemilocalIdeal((1,) * read_int(n, 1, "maximal ideal count", NonPositiveError))
-
-
-def _require_nonunit(a: SemilocalIdeal) -> None:
-    if a.is_unit:
-        raise UnitIdealError("operation is undefined for the unit ideal")
-
-
-def is_projectively_equivalent(a: SemilocalIdeal, b: SemilocalIdeal) -> bool:
-    """Whether some powers of a and b have equal integral closures.
-
-    In a Dedekind domain all ideals are integrally closed, so this
-    holds exactly when the exponent vectors are positive rational
-    multiples of each other.
-    """
-    if len(a) != len(b):
-        raise IndexMismatchError(f"index sets differ: {len(a)} vs {len(b)}")
-    _require_nonunit(a)
-    _require_nonunit(b)
-    pivot = next(i for i, e in enumerate(a.exponents) if e > 0)
-    if b.exponents[pivot] == 0:
-        return False
-    ap, bp = a.exponents[pivot], b.exponents[pivot]
-    return all(x * bp == y * ap for x, y in zip(a.exponents, b.exponents))
-
-
-def is_projectively_full(a: SemilocalIdeal) -> bool:
-    """Whether every ideal projectively equivalent to a is a power of a.
-
-    Equivalent to the exponent vector being primitive: the gcd of its
-    entries is one.
-    """
-    _require_nonunit(a)
-    return math.gcd(*a.exponents) == 1

@@ -33,16 +33,7 @@ from .errors import (
     read_int,
 )
 from .dvrcalc import _root_invariants
-from .itoh import (
-    ReesData,
-    SemilocalIdeal,
-    is_projectively_equivalent,
-    is_projectively_full,
-    itoh_structure,
-    jacobson_radical,
-    rees_data,
-    semilocal_radical,
-)
+from .itoh import ReesData, _radical, rees_data
 from .record import Record
 
 FAMILY_SPLIT = "S"
@@ -56,19 +47,15 @@ class SystemEntry(Record):
 
     __slots__ = ("residue_degree", "ramification", "multiplicity")
     _defaults = {"multiplicity": 1}
-
-    def __post_init__(self):
-        read_int(self.residue_degree, 1, "residue_degree", NonPositiveError)
-        read_int(self.ramification, 1, "ramification", NonPositiveError)
-        read_int(self.multiplicity, 1, "multiplicity", NonPositiveError)
+    _ints = {n: (1, n, NonPositiveError) for n in __slots__}
 
 
 class ConsistentSystem(Record):
     __slots__ = ("m", "per_valuation", "family")
     _defaults = {"family": ""}
+    _ints = {"m": (1, "system degree m", NonPositiveError)}
 
     def __post_init__(self):
-        read_int(self.m, 1, "system degree m", NonPositiveError)
         if not self.per_valuation:
             raise NonPositiveError("system needs at least one valuation")
 
@@ -246,9 +233,9 @@ def common_multiple_realization(rees: ReesData | Sequence[int], e: int) -> Reali
     equals e.
     """
     rd = rees_data(rees)
-    report = itoh_structure(rd, e)
-    e = report.k
-    if not report.is_radical:
+    e = read_int(e, 2, "root order", BadKError)
+    # by result (1), r_e is radical exactly when e is a multiple of the lcm
+    if e % rd.lcm:
         raise NotCommonMultipleError(
             f"{e} is not a common multiple of the Rees integers {rd.entries}"
         )
@@ -368,20 +355,24 @@ class FullnessReport(Record):
 def projective_fullness_check(rees: ReesData | Sequence[int]) -> FullnessReport:
     """Realize family S with k = 1 and verify the three radical-ideal claims.
 
-    Radicality, projective fullness and projective equivalence do not
-    change when a coordinate is repeated, so each is decided on one
-    coordinate per system entry, not one per maximal ideal.
+    The claims hold by construction once ``_realization`` has found the
+    extended ideal's exponents uniform: the Jacobson radical (1, ..., 1)
+    is radical and primitive, and the extended ideal (m, ..., m) is a
+    multiple of it.  Repeating a coordinate changes none of them, so
+    each is decided on one coordinate per system entry, not one per
+    maximal ideal, by int arithmetic on the exponent vectors.
     """
     rd = rees_data(rees)
     report = _realization(*_lcm_rows(FAMILY_SPLIT, rd.entries, rd.lcm, 1))
-    entries = len(rd)
-    radical = jacobson_radical(entries)
-    extended = SemilocalIdeal((report.jacobson_exponent,) * entries)
+    radical = (1,) * len(rd)
+    extended = (report.jacobson_exponent,) * len(rd)
     return FullnessReport(
         realization=report,
-        is_radical=semilocal_radical(radical) == radical,
-        projectively_full=is_projectively_full(radical),
-        equivalent_to_extension=is_projectively_equivalent(radical, extended),
+        is_radical=_radical(radical) == radical,
+        projectively_full=math.gcd(*radical) == 1,
+        equivalent_to_extension=all(
+            x * extended[0] == y * radical[0] for x, y in zip(radical, extended)
+        ),
     )
 
 
@@ -398,6 +389,6 @@ def algebraically_closed_warning(system: ConsistentSystem) -> str | None:
     if bad >= 2:
         return (
             "system prescribes a residue extension of degree "
-            f"{bad}, impossible over algebraically closed residue fields"
+            f"{int_text(bad)}, impossible over algebraically closed residue fields"
         )
     return None

@@ -668,4 +668,5 @@ def parse_ideal(text: str) -> MonomialIdeal:
         raise ParseError("missing 'dim d' header")
     if not gens:
         raise ParseError("no generators given")
-    return minimalize(gens, dim)
+    # every exponent is already an int, checked nonnegative, dim to a line
+    return MonomialIdeal(dim, _minimal(sorted(gens), dim))

@@ -41,10 +41,7 @@ class PuiseuxModel(Record):
     """Base data: u has value e (value group Z), and a k-th root is adjoined."""
 
     __slots__ = ("e", "k")
-
-    def __post_init__(self):
-        read_int(self.e, 1, "e", NonPositiveError)
-        read_int(self.k, 1, "k", NonPositiveError)
+    _ints = {n: (1, n, NonPositiveError) for n in __slots__}
 
 
 def _certified_gcd(a: int, b: int) -> int:

@@ -2,33 +2,44 @@
 
 A record class derives from :class:`Record` and names its fields in
 ``__slots__``, in positional order.  Trailing fields may take defaults
-from the class's ``_defaults`` mapping, and a ``__post_init__`` method,
-where the class defines one, validates and normalises the stored
-values.  Every store, in ``__init__`` and in a normalising
-``__post_init__``, goes through the slot's ``Cls.field.__set__``.
+from the class's ``_defaults`` mapping.  An integer field named in the
+class's ``_ints`` mapping, with its least value, its name in messages
+and its ``InputError`` class, is read with :func:`errors.read_int` in
+field order and stored as read.  A ``__post_init__`` method, where the
+class defines one, validates and normalises the stored values.  Every
+store, in ``__init__`` and in a normalising ``__post_init__``, goes
+through the slot's ``Cls.field.__set__``.
 Records compare and hash by value within one class, are never
 equal to a tuple or to a record of another class, reject assignment
 with ``AttributeError`` and print as ``Name(field=value, ...)``.
 """
 
+from .errors import read_int
+
 
 class Record:
     __slots__ = ()
     _defaults: dict = {}
+    _ints: dict = {}
 
     def __init_subclass__(cls):
         # compiled once per class with each slot's setter bound to a name,
         # so a field costs one direct descriptor call: Record.__setattr__,
         # which refuses assignment, is never looked up
-        names = cls.__slots__
+        names, ints = cls.__slots__, cls._ints
         params = ", ".join(
             f"{n}=_defaults[{n!r}]" if n in cls._defaults else n for n in names
         )
-        body = [f"    _set_{n}(self, {n})" for n in names]
+        body = [
+            f"    _set_{n}(self, read_int({n}, {ints[n][0]!r}, {ints[n][1]!r}, _error_{n}))"
+            if n in ints else f"    _set_{n}(self, {n})"
+            for n in names
+        ]
         if hasattr(cls, "__post_init__"):
             body.append("    self.__post_init__()")
         namespace = {f"_set_{n}": getattr(cls, n).__set__ for n in names}
-        namespace["_defaults"] = cls._defaults
+        namespace |= {f"_error_{n}": error for n, (_, _, error) in ints.items()}
+        namespace |= {"_defaults": cls._defaults, "read_int": read_int}
         exec("\n".join([f"def __init__(self, {params}):", *body]), namespace)
         cls.__init__ = namespace["__init__"]
 

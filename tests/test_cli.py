@@ -452,6 +452,14 @@ def test_krull_refuses_a_degree_too_long_to_print(capsys):
     assert err == "error: the report holds an integer of ~10^6000, too long to print\n"
 
 
+def test_krull_warning_of_a_degree_too_long_to_print_refuses(capsys):
+    # the algebraically-closed caveat names the ~6000-digit residue degree
+    argv = ("--rees", str(10**3000 + 1), "--k", str(10**3000), "--family", "T",
+            "--residues-algebraically-closed")
+    err = _refuses_quickly(capsys, "krull", *argv)
+    assert err == "error: the report holds an integer of ~10^6000, too long to print\n"
+
+
 # P and Q are coprime to 10, so at k = 10^4000 each Rees integer's
 # ramification is k itself and its exponent P*k or Q*k has 6001 digits.
 _P, _Q, _K = 10**2000 + 1, 10**2000 + 3, 10**4000

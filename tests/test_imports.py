@@ -52,12 +52,11 @@ def test_monomial_loads_only_errors_and_record():
     ]
 
 
-def test_cli_loads_only_errors_and_record():
+def test_cli_loads_only_errors():
     assert loaded_submodules("import reesval.cli") == [
         "reesval",
         "reesval.cli",
         "reesval.errors",
-        "reesval.record",
     ]
 
 

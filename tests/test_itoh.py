@@ -6,37 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from reesval import dvrcalc, errors, itoh, krull, puiseux
-from reesval.errors import (
-    BadKError,
-    EquivalenceViolation,
-    IndexMismatchError,
-    NonPositiveError,
-    UnitIdealError,
-)
-from reesval.itoh import (
-    ReesData,
-    SemilocalIdeal,
-    is_projectively_equivalent,
-    is_projectively_full,
-    itoh_structure,
-    jacobson_radical,
-    radicality_equivalence,
-    semilocal_radical,
-)
+from reesval.errors import BadKError, EquivalenceViolation, NonPositiveError
+from reesval.itoh import ReesData, itoh_structure, radicality_equivalence
 
 
 def rees_multisets(max_n, max_entry):
     for n in range(1, max_n + 1):
         yield from itertools.combinations_with_replacement(range(1, max_entry + 1), n)
-
-
-def brute_equivalent(a, b, bound=12):
-    """Projective equivalence by searching the scaling pair directly."""
-    return any(
-        tuple(i * x for x in a) == tuple(j * y for y in b)
-        for i in range(1, bound + 1)
-        for j in range(1, bound + 1)
-    )
 
 
 class TestItohStructure:
@@ -132,9 +108,17 @@ class TestRadicalityEquivalence:
 
 
 # Each call reads each of its inputs once, at its boundary: the four Rees
-# integers and k, and nothing its own layers computed.
-@pytest.mark.parametrize("call", [itoh_structure, radicality_equivalence])
-def test_each_input_is_read_once(monkeypatch, call):
+# integers and k where it takes one, and nothing its own layers computed.
+@pytest.mark.parametrize(
+    "call, inputs",
+    [
+        (itoh_structure, [(2, 3, 4, 6), 12]),
+        (radicality_equivalence, [(2, 3, 4, 6), 12]),
+        (krull.projective_fullness_check, [(2, 3, 4, 6)]),
+    ],
+    ids=["itoh_structure", "radicality_equivalence", "projective_fullness_check"],
+)
+def test_each_input_is_read_once(monkeypatch, call, inputs):
     reads = []
 
     def counting(value, *args):
@@ -143,98 +127,22 @@ def test_each_input_is_read_once(monkeypatch, call):
 
     for module in (dvrcalc, itoh, krull, puiseux):
         monkeypatch.setattr(module, "read_int", counting)
-    call((2, 3, 4, 6), 12)
-    assert sorted(reads) == [2, 3, 4, 6, 12]
+    call(*inputs)
+    assert sorted(reads) == [*inputs[0], *inputs[1:]]
 
 
 class TestSemilocalArithmetic:
+    """The radical of an exponent vector clamps every positive exponent to one."""
+
     def test_radical_examples(self):
-        assert semilocal_radical(SemilocalIdeal((3, 1))) == SemilocalIdeal((1, 1))
-        assert semilocal_radical(SemilocalIdeal((1, 1))) == SemilocalIdeal((1, 1))
-        assert semilocal_radical(SemilocalIdeal((0, 2))) == SemilocalIdeal((0, 1))
-
-    def test_jacobson_examples(self):
-        assert jacobson_radical(2) == SemilocalIdeal((1, 1))
-        assert jacobson_radical(1) == SemilocalIdeal((1,))
-        assert jacobson_radical(5) == SemilocalIdeal((1,) * 5)
-        with pytest.raises(NonPositiveError):
-            jacobson_radical(0)
-
-    def test_jacobson_is_radical_and_full(self):
-        for n in range(1, 9):
-            j = jacobson_radical(n)
-            assert semilocal_radical(j) == j
-            assert is_projectively_full(j)
+        assert itoh._radical((3, 1)) == (1, 1)
+        assert itoh._radical((1, 1)) == (1, 1)
+        assert itoh._radical((0, 2)) == (0, 1)
 
     @given(st.lists(st.integers(0, 9), min_size=1, max_size=5))
     def test_radical_idempotent(self, xs):
-        a = SemilocalIdeal(tuple(xs))
-        assert semilocal_radical(semilocal_radical(a)) == semilocal_radical(a)
-
-
-class TestProjectiveEquivalence:
-    def test_jacobson_power(self):
-        assert is_projectively_equivalent(SemilocalIdeal((6, 6)), SemilocalIdeal((1, 1)))
-
-    def test_doubling(self):
-        assert is_projectively_equivalent(SemilocalIdeal((2, 3)), SemilocalIdeal((4, 6)))
-
-    def test_swap_is_not_equivalent(self):
-        assert not brute_equivalent((2, 3), (3, 2))
-        assert not is_projectively_equivalent(
-            SemilocalIdeal((2, 3)), SemilocalIdeal((3, 2))
-        )
-
-    def test_matches_brute_force(self):
-        vectors = [(1, 0), (0, 2), (2, 3), (3, 2), (4, 6), (1, 1), (2, 2), (5, 1)]
-        for a in vectors:
-            for b in vectors:
-                assert is_projectively_equivalent(
-                    SemilocalIdeal(a), SemilocalIdeal(b)
-                ) == brute_equivalent(a, b)
-
-    def test_unit_rejected(self):
-        with pytest.raises(UnitIdealError):
-            is_projectively_equivalent(SemilocalIdeal((0, 0)), SemilocalIdeal((1, 1)))
-
-    def test_index_mismatch(self):
-        with pytest.raises(IndexMismatchError):
-            is_projectively_equivalent(SemilocalIdeal((1,)), SemilocalIdeal((1, 1)))
-
-
-class TestProjectiveFullness:
-    def test_examples(self):
-        assert is_projectively_full(SemilocalIdeal((1, 1)))
-        assert not is_projectively_full(SemilocalIdeal((2, 4)))
-        assert is_projectively_full(SemilocalIdeal((2, 3)))
-
-    def test_witness_for_non_full(self):
-        # (1, 2) is equivalent to (2, 4) but not one of its powers
-        smaller = SemilocalIdeal((1, 2))
-        assert is_projectively_equivalent(smaller, SemilocalIdeal((2, 4)))
-        assert all(
-            tuple(k * x for x in (2, 4)) != (1, 2) for k in range(1, 13)
-        )
-
-    def test_brute_force_confirmation(self):
-        # full iff every equivalent integral vector is an integer multiple
-        for a in [(2, 3), (1, 1), (2, 4), (3, 6, 9), (4, 2), (5, 7)]:
-            ideal = SemilocalIdeal(a)
-            full = is_projectively_full(ideal)
-            equivalents = [
-                b
-                for b in itertools.product(range(0, 13), repeat=len(a))
-                if any(b) and brute_equivalent(a, b)
-            ]
-            all_powers = all(
-                any(tuple(k * x for x in a) == b for k in range(1, 13))
-                for b in equivalents
-            )
-            assert full == all_powers
-
-    def test_unit_rejected(self):
-        with pytest.raises(UnitIdealError):
-            is_projectively_full(SemilocalIdeal((0, 0, 0)))
+        radical = itoh._radical(tuple(xs))
+        assert itoh._radical(radical) == radical
 
 
 def test_rees_data_validation():

@@ -971,6 +971,23 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_ideal("dim 2\n")
 
+    def test_reads_without_minimalize(self, monkeypatch):
+        # parsing has read and checked every exponent, so it hands its
+        # minimal generators to the constructor without reading them again
+        def refuse(*args, **kwargs):
+            raise AssertionError("parse_ideal called minimalize")
+
+        monkeypatch.setattr(monomial, "minimalize", refuse)
+        cases = {
+            "dim 1\n3\n2\n": ((2,),),
+            "dim 2\n2 0\n3 1\n0 3\n": ((0, 3), (2, 0)),
+            "dim 3\n1 1 1\n2 0 0\n1 1 2\n0 0 2\n": ((0, 0, 2), (1, 1, 1), (2, 0, 0)),
+        }
+        for text, generators in cases.items():
+            assert parse_ideal(text).generators == generators
+        with pytest.raises(ImproperIdealError, match="unit monomial"):
+            parse_ideal("dim 2\n0 0\n")
+
 
 def test_monomial_str():
     assert monomial_str((2, 0)) == "x^2"

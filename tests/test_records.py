@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from reesval import cli, dvrcalc, itoh, krull, monomial, puiseux
+from reesval import dvrcalc, itoh, krull, monomial, puiseux
 from reesval.errors import (
     BadKError,
     EmptyGeneratorsError,
@@ -35,7 +35,6 @@ VALUATION = itoh.ItohValuationRecord(2, 2, 3, 1)
 
 # one valid argument tuple per record class, in field order
 SAMPLES = {
-    cli.Report: ("rees", {"dim": 2}, {"lcm": 6}, ["note"]),
     dvrcalc.DVRSpec: (2, 1),
     dvrcalc.ExtensionStep: (6, 3, 2),
     dvrcalc.Tower: (dvrcalc.DVRSpec(2, 1), (dvrcalc.ExtensionStep(2, 1, 2),)),
@@ -44,7 +43,6 @@ SAMPLES = {
     itoh.ReesData: ((2, 3),),
     itoh.ItohValuationRecord: (2, 2, 3, 1),
     itoh.ItohReport: (6, (VALUATION,), True, 6),
-    itoh.SemilocalIdeal: ((1, 0, 2),),
     itoh.EquivalenceReport: (6, True, True, True, True),
     krull.SystemEntry: (1, 3, 2),
     krull.ConsistentSystem: (6, ((ENTRY,),), "S"),
@@ -148,18 +146,6 @@ def test_unequal_values_differ():
             NonPositiveError,
             "Rees integer must be >= 1, got 0",
             id="ReesData-zero",
-        ),
-        pytest.param(
-            lambda: itoh.SemilocalIdeal(()),
-            NonPositiveError,
-            "exponent vector must be nonempty",
-            id="SemilocalIdeal-empty",
-        ),
-        pytest.param(
-            lambda: itoh.SemilocalIdeal((-1,)),
-            NonPositiveError,
-            "exponent must be >= 0, got -1",
-            id="SemilocalIdeal-negative",
         ),
         pytest.param(
             lambda: krull.SystemEntry(1, 1, 0),
@@ -375,14 +361,10 @@ def test_unequal_values_differ():
             ("newton_polygon_irreducible", lambda x: puiseux.newton_polygon_irreducible(x, -1),
              NonPositiveError, "degree"),
             ("ReesData", lambda x: itoh.ReesData((x, 3)), NonPositiveError, "Rees integer"),
-            ("SemilocalIdeal", lambda x: itoh.SemilocalIdeal((1, x)), NonPositiveError,
-             "exponent"),
             ("itoh_structure", lambda x: itoh.itoh_structure((2, 3), x), BadKError,
              "root order"),
             ("radicality_equivalence", lambda x: itoh.radicality_equivalence((2, 3), x),
              BadKError, "root order"),
-            ("jacobson_radical", lambda x: itoh.jacobson_radical(x), NonPositiveError,
-             "maximal ideal count"),
             ("SystemEntry", lambda x: krull.SystemEntry(1, 1, x), NonPositiveError,
              "multiplicity"),
             ("ConsistentSystem", lambda x: krull.ConsistentSystem(x, ((ENTRY,),)),
@@ -411,3 +393,25 @@ def test_validation_messages(build, error, message):
 
 def test_spec_accepts_a_primitive_normal_with_zero_coordinates():
     assert monomial.ReesValuationSpec((0, 0, 1), 1).normal == (0, 0, 1)
+
+
+# every int field a record reads stores the int it read, not the value given
+INT_FIELDS = {
+    dvrcalc.DVRSpec: ("uniformizer_exponent", "transcendentals"),
+    dvrcalc.ExtensionStep: ("degree", "ramification", "residue_degree"),
+    puiseux.PuiseuxModel: ("e", "k"),
+    krull.SystemEntry: ("residue_degree", "ramification", "multiplicity"),
+    krull.ConsistentSystem: ("m",),
+}
+
+
+@pytest.mark.parametrize("cls", list(INT_FIELDS), ids=lambda cls: cls.__name__)
+def test_int_fields_store_what_they_read(cls):
+    fields = INT_FIELDS[cls]
+    record = cls(**{**dict(zip(cls.__slots__, SAMPLES[cls])), **dict.fromkeys(fields, True)})
+    assert [getattr(record, name).__class__ for name in fields] == [int] * len(fields)
+
+
+def test_oracle_of_a_bool_model_answers_ints():
+    answer = puiseux.oracle_extension(puiseux.PuiseuxModel(True, True))
+    assert [x.__class__ for x in answer] == [int, int, int]

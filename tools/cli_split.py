@@ -5,7 +5,8 @@ processes: bare ``python -c pass``, ``import reesval.cli``, and each of
 the seven ``cli-session`` commands of the benchmark (text form).  Every
 round runs each (tree, command) pair once in a shuffled order, so all
 trees and commands share the machine's noisy phases; the report keeps
-the min and median of the rounds in milliseconds.
+the min and median of the rounds in milliseconds, and names each tree by
+its commit, where it has one, and by a sha256 of its modules.
 
     python3 tools/cli_split.py --src parent=../parent/src --src change=src \\
         --out BENCH_7.json
@@ -17,6 +18,7 @@ Standard library only; the commands and ideal files come from
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -44,6 +46,18 @@ def commit_of(path: Path) -> str | None:
         capture_output=True, text=True,
     )
     return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def digest_of(src: Path) -> str:
+    """sha256 of the tree's ``reesval/*.py`` names and bytes, in sorted name order.
+
+    It names what was measured where ``commit_of`` cannot, as in a
+    ``git archive`` copy, which holds no ``.git``.
+    """
+    digest = hashlib.sha256()
+    for path in sorted((src / "reesval").glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    return digest.hexdigest()
 
 
 def commands(files: dict[str, str]) -> dict[str, list[str]]:
@@ -83,6 +97,7 @@ def measure(sources: dict[str, Path]) -> dict:
     return {
         label: {
             "commit": commit_of(src),
+            "sha256": digest_of(src),
             "ms": {
                 name: {"min": round(min(v), 2), "median": round(statistics.median(v), 2)}
                 for name, v in samples[label].items()
@@ -109,6 +124,7 @@ def main() -> int:
             "nproc": os.cpu_count(),
             "python": platform.python_version(),
             "platform": platform.platform(),
+            "PYTHONDONTWRITEBYTECODE": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
         },
         "runs": RUNS,
         "seed": SEED,
