@@ -10,32 +10,16 @@ malformed argv too), 3 internal verification failure.
 
 from __future__ import annotations
 
-import math
 import sys
 from collections.abc import Sequence
 
-# Each command imports the modules it uses, so a process pays only for
-# its own command.
-from .errors import (
-    ArgvError,
-    BadKError,
-    InputError,
-    NonUniformError,
-    OracleDisagreement,
-    OutputLimitError,
-    VerificationError,
-    int_text,
-)
+from .errors import ArgvError, InputError, OutputLimitError, VerificationError, int_text
 
 Namespace = type(sys.implementation)  # types.SimpleNamespace, without importing types
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_VERIFICATION = 3
-
-# the krull subcommand prints one exponent per maximal ideal, so it
-# refuses realizations with more maximal ideals than this
-MAX_MAXIMAL_IDEALS = 100_000
 
 
 def render_json(report: dict) -> str:
@@ -117,267 +101,30 @@ def _render(report: dict, as_json: bool) -> str:
         ) from None
 
 
-def _parse_rees_flag(raw: str):
-    """The ``itoh.ReesData`` of a comma-separated list of Rees integers."""
-    from .itoh import ReesData
-
-    try:
-        entries = tuple(int(part) for part in raw.split(","))
-    except ValueError:
-        raise BadKError(f"bad Rees integer list {raw!r}") from None
-    return ReesData(entries)
-
-
-def _read_ideal(path: str):
-    """The ``monomial.MonomialIdeal`` in the file at ``path``."""
-    from .monomial import parse_ideal
-
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
-    return parse_ideal(text)
-
-
-def _ideal_echo(ideal) -> dict[str, object]:
-    from .monomial import monomial_str
-
-    return {
-        "dim": ideal.dim,
-        "generators": [list(g) for g in ideal.generators],
-        "monomials": [monomial_str(g) for g in ideal.generators],
-    }
-
-
-def cmd_rees(args: Namespace) -> dict:
-    from .monomial import rees_valuations
-
-    ideal = _read_ideal(args.ideal_file)
-    package = rees_valuations(ideal)
-    payload = {
-        "valuations": [
-            {"normal": list(v.normal), "rees_integer": v.rees_integer}
-            for v in package.valuations
-        ],
-        "rees_integers": list(package.rees_integers),
-        "lcm": math.lcm(*package.rees_integers),
-    }
-    return {"command": "rees", "input": _ideal_echo(ideal), "payload": payload, "warnings": []}
-
-
-def cmd_closure(args: Namespace) -> dict:
-    from .monomial import integral_closure_power, monomial_str
-
-    ideal = _read_ideal(args.ideal_file)
-    closure = integral_closure_power(ideal, args.k)
-    echo = _ideal_echo(ideal)
-    echo["k"] = args.k
-    payload = {
-        "closure_generators": [list(g) for g in closure.generators],
-        "monomials": [monomial_str(g) for g in closure.generators],
-    }
-    return {"command": "closure", "input": echo, "payload": payload, "warnings": []}
-
-
-def cmd_itoh(args: Namespace) -> dict:
-    from .itoh import itoh_structure
-
-    rees = _parse_rees_flag(args.rees)
-    report = itoh_structure(rees, args.k)
-    payload = {
-        "per_valuation": [
-            {
-                "rees_integer": r.rees_integer,
-                "degree": report.k,
-                "ramification": r.ramification,
-                "residue_degree": r.residue_degree,
-                "u_exponent": r.u_exponent,
-            }
-            for r in report.per_valuation
-        ],
-        "extended_ideal_exponents": list(report.u_exponents),
-        "radical": report.is_radical,
-        "least_radical_k": report.least_radical_k,
-    }
-    echo = {"rees_integers": list(rees.entries), "k": args.k}
-    return {"command": "itoh", "input": echo, "payload": payload, "warnings": []}
-
-
-def cmd_tower(args: Namespace) -> dict:
-    from .dvrcalc import check_fundamental, general_k_extension
-
-    step = general_k_extension(args.e, args.k)
-    check = check_fundamental(step)
-    payload: dict[str, object] = {
-        "degree": step.degree,
-        "ramification": step.ramification,
-        "residue_degree": step.residue_degree,
-        "fundamental_equality": check.ok,
-    }
-    if args.oracle:
-        from . import puiseux
-
-        ram, res, deg = puiseux.oracle_extension(puiseux.PuiseuxModel(args.e, args.k))
-        agreement = (ram, res, deg) == (step.ramification, step.residue_degree, step.degree)
-        payload["oracle"] = {
-            "ramification": ram,
-            "residue_degree": res,
-            "degree": deg,
-        }
-        payload["agreement"] = agreement
-        if not agreement:
-            raise OracleDisagreement(
-                f"calculus {step.invariants} disagrees with oracle {(deg, ram, res)}"
-            )
-    echo = {"e": args.e, "k": args.k, "oracle": bool(args.oracle)}
-    return {"command": "tower", "input": echo, "payload": payload, "warnings": []}
-
-
-def _system_payload(system) -> dict[str, object]:
-    """The payload block of a ``krull.ConsistentSystem``."""
-    return {
-        "m": system.m,
-        "family": system.family,
-        "per_valuation": [
-            [
-                {
-                    "residue_degree": entry.residue_degree,
-                    "ramification": entry.ramification,
-                    "multiplicity": entry.multiplicity,
-                }
-                for entry in row
-            ]
-            for row in system.per_valuation
-        ],
-    }
-
-
-def cmd_krull(args: Namespace) -> dict:
-    from . import krull
-
-    rees = _parse_rees_flag(args.rees)
-    system = krull.build_system(args.family, rees, args.k)
-    decision = krull.realizability_gate(
-        system,
-        has_extra_dvr=args.has_extra_dvr,
-        has_separable_approximation=args.has_separable_approximation,
-    )
-    warnings: list[str] = []
-    if not decision.realizable:
-        warnings.append(
-            "no sufficient realizability condition applies; the gate is UNDECIDED"
-        )
-    if args.residues_algebraically_closed:
-        caveat = krull.algebraically_closed_warning(system)
-        if caveat:
-            warnings.append(caveat)
-    payload: dict[str, object] = {
-        "system": _system_payload(system),
-        "consistent": krull.is_consistent(system),
-        "decision": str(decision),
-    }
-    try:
-        plan = krull.realize_plan(system, rees)
-    except NonUniformError:
-        # only family EXP2 with a non-common-multiple k lands here
-        payload["realization"] = None
-        warnings.append(
-            "extended ideal exponents are not uniform; realization report omitted"
-        )
-    else:
-        if plan.maximal_ideal_count > MAX_MAXIMAL_IDEALS:
-            raise OutputLimitError(
-                f"realization has {int_text(plan.maximal_ideal_count)} maximal ideals, "
-                f"above the limit of {MAX_MAXIMAL_IDEALS}"
-            )
-        payload["realization"] = {
-            "extension_degree": plan.extension_degree,
-            "maximal_ideal_count": plan.maximal_ideal_count,
-            "extended_ideal_exponents": [plan.jacobson_exponent] * plan.maximal_ideal_count,
-            "jacobson_exponent": plan.jacobson_exponent,
-            "uniform_rees_integer": plan.uniform_rees_integer,
-        }
-    echo = {
-        "rees_integers": list(rees.entries),
-        "k": args.k,
-        "family": args.family,
-        "has_extra_dvr": args.has_extra_dvr,
-        "has_separable_approximation": args.has_separable_approximation,
-    }
-    return {"command": "krull", "input": echo, "payload": payload, "warnings": warnings}
-
-
-def _parse_components(raw: str):
-    """The ``krull.ComponentPlan`` of semicolon-separated Rees lists."""
-    from .krull import Component, ComponentPlan
-
-    components = []
-    for segment in raw.split(";"):
-        segment = segment.strip()
-        if not segment:
-            components.append(Component(rees_integers=(), participates=False))
-            continue
-        try:
-            entries = tuple(int(part) for part in segment.split(","))
-        except ValueError:
-            raise BadKError(f"bad component Rees list {segment!r}") from None
-        components.append(Component(rees_integers=entries, participates=True))
-    return ComponentPlan(tuple(components))
-
-
-def cmd_co2(args: Namespace) -> dict:
-    from .krull import direct_sum_plan
-
-    plan = _parse_components(args.components)
-    report = direct_sum_plan(plan, args.e)
-    payload = {
-        "extension_degree": report.extension_degree,
-        "components": [
-            {
-                "participates": outcome.participates,
-                "rees_integers": list(outcome.rees_integers),
-                "realization": (
-                    None
-                    if outcome.realization is None
-                    else {
-                        "extension_degree": outcome.realization.extension_degree,
-                        "maximal_ideal_count": outcome.realization.maximal_ideal_count,
-                        "uniform_rees_integer": outcome.realization.uniform_rees_integer,
-                    }
-                ),
-            }
-            for outcome in report.components
-        ],
-        "combined_rees_integers": list(report.combined_rees_integers),
-    }
-    echo = {"components": args.components, "e": args.e}
-    return {"command": "co2", "input": echo, "payload": payload, "warnings": []}
-
-
 _IDEAL_FILE = (str, True, "a 'dim d' line, then the d exponents of one generator per line")
-# name: (handler, help, arguments); an argument is (kind, required, help), where kind is
-# bool for a flag and otherwise the type of its value; a name without "-" is positional
+# name: (module, help, arguments); the module, loaded only by a process that runs the
+# command, maps it to its handler in HANDLERS; an argument is (kind, required, help), where
+# kind is bool for a flag and otherwise the type of its value; a name without "-" is positional
 COMMANDS = {
-    "rees": (cmd_rees, "Rees valuations of a monomial ideal", {"ideal_file": _IDEAL_FILE}),
-    "closure": (cmd_closure, "integral closure of a power of a monomial ideal", {
+    "rees": ("cli_monomial", "Rees valuations of a monomial ideal", {"ideal_file": _IDEAL_FILE}),
+    "closure": ("cli_monomial", "integral closure of a power of a monomial ideal", {
         "ideal_file": _IDEAL_FILE,
         "--k": (int, True, "the power")}),
-    "itoh": (cmd_itoh, "valuation towers and radicality for Rees data", {
+    "itoh": ("cli_itoh", "valuation towers and radicality for Rees data", {
         "--rees": (str, True, "comma-separated Rees integers"),
         "--k": (int, True, "the root order")}),
-    "tower": (cmd_tower, "invariants of adjoining a k-th root of u", {
+    "tower": ("cli_tower", "invariants of adjoining a k-th root of u", {
         "--e": (int, True, "the value of u"),
         "--k": (int, True, "the root order"),
         "--oracle": (bool, False, "cross-check with the independent oracle")}),
-    "krull": (cmd_krull, "consistent systems and realization plans", {
+    "krull": ("cli_krull", "consistent systems and realization plans", {
         "--rees": (str, True, "comma-separated Rees integers"),
         "--k": (int, True, "the family's parameter"),
         "--family": (str, True, "system family code; an unknown code lists the valid ones"),
         "--has-extra-dvr": (bool, False, "a DVR outside the system exists (condition 2)"),
         "--has-separable-approximation": (bool, False, "approximation holds (condition 3)"),
         "--residues-algebraically-closed": (bool, False, "warn about inert prescriptions")}),
-    "co2": (cmd_co2, "direct-sum extension plan over ring components", {
+    "co2": ("cli_krull", "direct-sum extension plan over ring components", {
         "--components": (str, True, "semicolon-separated Rees lists"),
         "--e": (int, True, "the target Rees integer")}),
 }
@@ -432,7 +179,7 @@ def parse_args(argv: Sequence[str] | None = None) -> Namespace:
             fields[slots.pop(0)] = token
             if name is None:
                 name = token
-                fields["func"], _, arguments = COMMANDS[name]
+                _, _, arguments = COMMANDS[name]
                 options, slots = {**arguments, **_COMMON}, [a for a in arguments if a[0] != "-"]
         else:
             key, eq, value = token.partition("=")
@@ -457,6 +204,8 @@ def parse_args(argv: Sequence[str] | None = None) -> Namespace:
     if missing:
         raise refuse(f"missing {', '.join(missing)}")
     fields = {**{o: False for o, spec in options.items() if spec[0] is bool}, **fields}
+    # only a well-formed argv loads its command's module: "from . import <module>"
+    fields["func"] = __import__(COMMANDS[name][0], globals(), None, ["HANDLERS"], 1).HANDLERS[name]
     return Namespace(**{key.lstrip("-").replace("-", "_"): v for key, v in fields.items()})
 
 

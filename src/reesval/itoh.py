@@ -46,6 +46,15 @@ def rees_data(entries: Iterable[int] | ReesData) -> ReesData:
     return entries if isinstance(entries, ReesData) else ReesData(tuple(entries))
 
 
+def parse_rees(text: str) -> ReesData:
+    """The ``ReesData`` of a comma-separated list of Rees integers."""
+    try:
+        entries = tuple(int(part) for part in text.split(","))
+    except ValueError:
+        raise BadKError(f"bad Rees integer list {text!r}") from None
+    return ReesData(entries)
+
+
 class ItohValuationRecord(Record):
     """Tower invariants at one valuation for a fixed root order k.
 

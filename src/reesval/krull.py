@@ -236,8 +236,10 @@ def common_multiple_realization(rees: ReesData | Sequence[int], e: int) -> Reali
     e = read_int(e, 2, "root order", BadKError)
     # by result (1), r_e is radical exactly when e is a multiple of the lcm
     if e % rd.lcm:
+        # int_text: an e or a Rees integer too long for str would crash the message
+        listed = ", ".join(map(int_text, rd.entries))
         raise NotCommonMultipleError(
-            f"{e} is not a common multiple of the Rees integers {rd.entries}"
+            f"{int_text(e)} is not a common multiple of the Rees integers ({listed})"
         )
     return RealizationReport(
         extension_degree=e,

@@ -17,31 +17,44 @@ with ``AttributeError`` and print as ``Name(field=value, ...)``.
 from .errors import read_int
 
 
+def _compile_init(cls):
+    """The ``__init__`` of a record class, compiled with each slot's setter bound to a name.
+
+    A field costs one direct descriptor call: ``Record.__setattr__``,
+    which refuses assignment, is never looked up.
+    """
+    names, ints = cls.__slots__, cls._ints
+    params = ", ".join(
+        f"{n}=_defaults[{n!r}]" if n in cls._defaults else n for n in names
+    )
+    body = [
+        f"    _set_{n}(self, read_int({n}, {ints[n][0]!r}, {ints[n][1]!r}, _error_{n}))"
+        if n in ints else f"    _set_{n}(self, {n})"
+        for n in names
+    ]
+    if hasattr(cls, "__post_init__"):
+        body.append("    self.__post_init__()")
+    namespace = {f"_set_{n}": getattr(cls, n).__set__ for n in names}
+    namespace |= {f"_error_{n}": error for n, (_, _, error) in ints.items()}
+    namespace |= {"_defaults": cls._defaults, "read_int": read_int}
+    exec("\n".join([f"def __init__(self, {params}):", *body]), namespace)
+    return namespace["__init__"]
+
+
 class Record:
     __slots__ = ()
     _defaults: dict = {}
     _ints: dict = {}
 
     def __init_subclass__(cls):
-        # compiled once per class with each slot's setter bound to a name,
-        # so a field costs one direct descriptor call: Record.__setattr__,
-        # which refuses assignment, is never looked up
-        names, ints = cls.__slots__, cls._ints
-        params = ", ".join(
-            f"{n}=_defaults[{n!r}]" if n in cls._defaults else n for n in names
-        )
-        body = [
-            f"    _set_{n}(self, read_int({n}, {ints[n][0]!r}, {ints[n][1]!r}, _error_{n}))"
-            if n in ints else f"    _set_{n}(self, {n})"
-            for n in names
-        ]
-        if hasattr(cls, "__post_init__"):
-            body.append("    self.__post_init__()")
-        namespace = {f"_set_{n}": getattr(cls, n).__set__ for n in names}
-        namespace |= {f"_error_{n}": error for n, (_, _, error) in ints.items()}
-        namespace |= {"_defaults": cls._defaults, "read_int": read_int}
-        exec("\n".join([f"def __init__(self, {params}):", *body]), namespace)
-        cls.__init__ = namespace["__init__"]
+        # a stub that compiles the class's __init__ on its first construction
+        # and installs it, so a process compiles only the records it builds
+        def __init__(self, *args, **kwargs):
+            init = _compile_init(cls)
+            cls.__init__ = init
+            init(self, *args, **kwargs)
+
+        cls.__init__ = __init__
 
     def _values(self) -> tuple:
         return tuple(getattr(self, n) for n in self.__slots__)

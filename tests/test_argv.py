@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reesval import cli
+from reesval import cli, cli_itoh, cli_krull, cli_monomial, cli_tower
 from reesval.errors import ArgvError
 
 
@@ -34,26 +34,26 @@ def reference_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rees", help="Rees valuations of a monomial ideal")
     p.add_argument("ideal_file")
     p.add_argument("--json", **json_opt)
-    p.set_defaults(func=cli.cmd_rees)
+    p.set_defaults(func=cli_monomial.cmd_rees)
 
     p = sub.add_parser("closure", help="integral closure of a power of a monomial ideal")
     p.add_argument("ideal_file")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--json", **json_opt)
-    p.set_defaults(func=cli.cmd_closure)
+    p.set_defaults(func=cli_monomial.cmd_closure)
 
     p = sub.add_parser("itoh", help="valuation towers and radicality for Rees data")
     p.add_argument("--rees", required=True, help="comma-separated Rees integers")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--json", **json_opt)
-    p.set_defaults(func=cli.cmd_itoh)
+    p.set_defaults(func=cli_itoh.cmd_itoh)
 
     p = sub.add_parser("tower", help="invariants of adjoining a k-th root of u")
     p.add_argument("--e", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--oracle", action="store_true", help="cross-check with the independent oracle")
     p.add_argument("--json", **json_opt)
-    p.set_defaults(func=cli.cmd_tower)
+    p.set_defaults(func=cli_tower.cmd_tower)
 
     p = sub.add_parser("krull", help="consistent systems and realization plans")
     p.add_argument("--rees", required=True, help="comma-separated Rees integers")
@@ -65,13 +65,13 @@ def reference_parser() -> argparse.ArgumentParser:
     p.add_argument("--has-separable-approximation", action="store_true")
     p.add_argument("--residues-algebraically-closed", action="store_true")
     p.add_argument("--json", **json_opt)
-    p.set_defaults(func=cli.cmd_krull)
+    p.set_defaults(func=cli_krull.cmd_krull)
 
     p = sub.add_parser("co2", help="direct-sum extension plan over ring components")
     p.add_argument("--components", required=True, help="semicolon-separated Rees lists")
     p.add_argument("--e", type=int, required=True)
     p.add_argument("--json", **json_opt)
-    p.set_defaults(func=cli.cmd_co2)
+    p.set_defaults(func=cli_krull.cmd_co2)
 
     return parser
 

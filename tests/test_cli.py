@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reesval.cli import MAX_MAXIMAL_IDEALS, main
+from reesval.cli import main
+from reesval.cli_krull import MAX_EXPONENT_DIGITS, MAX_MAXIMAL_IDEALS
 
 GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden" / "cli_text.json"
 
@@ -187,6 +188,33 @@ class TestKrullCommand:
         assert err == (
             "error: realization has 100001 maximal ideals, above the limit of 100000\n"
         )
+
+    def test_exponent_digits_above_the_limit_are_refused_within_a_second(self, capsys):
+        # family U over Rees data (16 769,) lists 16 769 exponents of 3004 digits: 50 MB
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "krull", "--rees", "16769", "--k", str(10**2999 + 7), "--family", "U"
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: realization lists 16769 exponents of 3004 digits, "
+            f"50374076 digits in all, above the limit of {MAX_EXPONENT_DIGITS}\n"
+        )
+
+    def test_exponent_digit_limit(self, capsys):
+        # family U over Rees data (1000,) lists 1000 exponents of 1000 * k
+        at_limit = ("krull", "--rees", "1000", "--k", str(10**1996), "--family", "U")
+        code, out, _ = run_cli(capsys, *at_limit)
+        assert code == 0
+        assert 1000 * 2000 == MAX_EXPONENT_DIGITS
+        assert "maximal_ideal_count: 1000" in out
+        code, out, err = run_cli(capsys, "krull", "--rees", "1000", "--k", str(10**1997),
+                                 "--family", "U")
+        assert code == 2
+        assert out == ""
+        assert "2001000 digits in all" in err
 
     def test_root_family_non_uniform_warns(self, capsys):
         code, out, err = run_cli(

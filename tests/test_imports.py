@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -64,6 +65,44 @@ def test_cli_loads_no_argv_parser():
     assert set(loaded_modules("import reesval.cli")).isdisjoint(ARGV_PARSING)
 
 
+def test_monomial_reads_the_oracle_from_its_module():
+    assert loaded_submodules(
+        "import reesval.oracle; from reesval.monomial import oracle_is_integral; "
+        "assert oracle_is_integral is reesval.oracle.oracle_is_integral"
+    ) == ["reesval", "reesval.errors", "reesval.monomial", "reesval.oracle", "reesval.record"]
+
+
+def test_oracle_names_no_facet_code():
+    # the oracle stays independent of the facets it cross-checks
+    tree = ast.parse((Path(PACKAGE_PARENT) / "reesval" / "oracle.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    facet_code = {"_facets_2d", "_facets_dd", "_rees_facets", "rees_valuations",
+                  "integral_closure_power"}
+    assert names.isdisjoint(facet_code)
+
+
+def test_cli_module_run_as_main_is_never_imported():
+    # under -m the CLI runs as __main__; importing reesval.cli too would compile it twice
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "reesval.cli", "tower", "--e", "4", "--k", "6"],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": PACKAGE_PARENT},
+    )
+    imported = [line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "reesval.cli_tower" in imported
+    assert "reesval.cli" not in imported
+
+
 def test_tower_loads_no_krull_monomial_or_itoh():
     loaded = loaded_by_command("tower", "--e", "4", "--k", "6")
     assert "reesval.dvrcalc" in loaded
@@ -95,6 +134,14 @@ def test_tower_and_krull_commands_load_no_oracle(argv):
     assert loaded.isdisjoint({"reesval.puiseux", "fractions"})
 
 
+@pytest.mark.parametrize("argv", [("rees", "{ideal}"), ("closure", "{ideal}", "--k", "2")],
+                         ids=lambda argv: argv[0])
+def test_rees_and_closure_load_no_oracle(argv, ideal_file):
+    loaded = loaded_by_command(*(a.format(ideal=ideal_file) for a in argv))
+    assert "reesval.monomial" in loaded
+    assert "reesval.oracle" not in loaded
+
+
 EVERY_COMMAND = [
     ("rees", "{ideal}"),
     ("closure", "{ideal}", "--k", "2"),
@@ -118,6 +165,23 @@ def ideal_file(tmp_path):
     path = tmp_path / "ideal.txt"
     path.write_text("dim 2\n2 0\n0 3\n")
     return str(path)
+
+
+HANDLER_MODULES = {
+    "rees": "reesval.cli_monomial",
+    "closure": "reesval.cli_monomial",
+    "itoh": "reesval.cli_itoh",
+    "tower": "reesval.cli_tower",
+    "krull": "reesval.cli_krull",
+    "co2": "reesval.cli_krull",
+}
+
+
+@pytest.mark.parametrize("command", EVERY_COMMAND, ids=lambda command: command[0])
+def test_command_loads_its_handler_module_and_no_other(command, ideal_file):
+    loaded = loaded_by_command(*(a.format(ideal=ideal_file) for a in command))
+    handlers = {m for m in loaded if m.startswith("reesval.cli_")}
+    assert handlers == {HANDLER_MODULES[command[0]]}
 
 
 @pytest.mark.parametrize("command", EVERY_COMMAND, ids=lambda command: command[0])

@@ -284,6 +284,21 @@ class TestCommonMultipleRealization:
         with pytest.raises(NotCommonMultipleError):
             common_multiple_realization((2, 3), 4)
 
+    def test_refusal_names_a_long_e_by_its_size(self):
+        # an e of 5001 digits is too long for str; the refusal must not crash on it
+        start = time.perf_counter()
+        with pytest.raises(NotCommonMultipleError) as info:
+            common_multiple_realization((3,), 10**5000 + 1)
+        assert time.perf_counter() - start < 1.0
+        assert str(info.value) == "~10^5000 is not a common multiple of the Rees integers (3)"
+
+    def test_refusal_names_long_rees_integers_by_their_size(self):
+        with pytest.raises(NotCommonMultipleError) as info:
+            common_multiple_realization((10**5000, 3), 2)
+        assert str(info.value) == (
+            "2 is not a common multiple of the Rees integers (~10^5000, 3)"
+        )
+
 
 class TestDirectSumPlan:
     def test_participating_and_passthrough(self):

@@ -26,17 +26,14 @@ from reesval.monomial import (
     MonomialIdeal,
     _facets_2d,
     _facets_dd,
-    _fm_feasible,
-    _pair_below,
-    _triple_below,
     ideal_power,
     integral_closure_power,
     minimalize,
     monomial_str,
-    oracle_is_integral,
     parse_ideal,
     rees_valuations,
 )
+from reesval.oracle import _fm_feasible, _pair_below, _triple_below, oracle_is_integral
 
 
 def normals_and_integers(package):

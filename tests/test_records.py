@@ -7,11 +7,16 @@ builds the same record from positional and keyword arguments, and
 survives a pickle round trip.  Validation messages are pinned too.
 """
 
+import os
 import pickle
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import reesval
 from reesval import dvrcalc, itoh, krull, monomial, puiseux
 from reesval.errors import (
     BadKError,
@@ -23,6 +28,8 @@ from reesval.errors import (
     ZeroExponentError,
 )
 from reesval.record import Record
+
+PACKAGE_PARENT = str(Path(reesval.__file__).resolve().parent.parent)
 
 IDEAL = monomial.MonomialIdeal(2, ((2, 0), (0, 3)))
 SPEC = monomial.ReesValuationSpec((3, 2), 6)
@@ -415,3 +422,59 @@ def test_int_fields_store_what_they_read(cls):
 def test_oracle_of_a_bool_model_answers_ints():
     answer = puiseux.oracle_extension(puiseux.PuiseuxModel(True, True))
     assert [x.__class__ for x in answer] == [int, int, int]
+
+
+def _compiled(cls) -> bool:
+    # the generated __init__ is exec'd source; the stub is defined in record.py
+    return cls.__init__.__code__.co_filename == "<string>"
+
+
+def test_init_is_compiled_on_first_construction():
+    Pair = type("Pair", (Record,), {"__slots__": ("a", "b"), "_defaults": {"b": 2}})
+    assert not _compiled(Pair)
+    first = Pair(1)
+    assert _compiled(Pair)
+    init = Pair.__init__
+    assert Pair(1, b=2) == first and Pair.__init__ is init
+    assert first.b == 2
+
+
+def _fresh_entry():
+    """A new class with ``krull.SystemEntry``'s fields, not constructed yet."""
+    return type("SystemEntry", (Record,), {
+        "__slots__": krull.SystemEntry.__slots__,
+        "_defaults": krull.SystemEntry._defaults,
+        "_ints": krull.SystemEntry._ints,
+    })
+
+
+@pytest.mark.parametrize(
+    "args, error, message",
+    [
+        ((0, 3), NonPositiveError, "residue_degree must be >= 1, got 0"),
+        ((1, 3.0), NonPositiveError, "ramification must be an integer, got 3.0"),
+        ((1,), TypeError, "__init__() missing 1 required positional argument: 'ramification'"),
+        ((1, 2, 3, 4), TypeError, "__init__() takes from 3 to 4 positional arguments but 5 were given"),
+    ],
+)
+def test_a_refused_first_construction_installs_the_same_init(args, error, message):
+    Entry = _fresh_entry()
+    for _ in range(2):  # the first call runs the stub, the second the installed __init__
+        with pytest.raises(error) as info:
+            Entry(*args)
+        assert str(info.value) == message
+    assert _compiled(Entry)
+
+
+def test_importing_a_module_compiles_no_record_init():
+    code = (
+        "import reesval.dvrcalc, reesval.itoh, reesval.krull, reesval.monomial, "
+        "reesval.puiseux\n"
+        "from reesval.record import Record\n"
+        "print(sum(c.__init__.__code__.co_filename == '<string>' "
+        "for c in Record.__subclasses__()), len(Record.__subclasses__()))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": PACKAGE_PARENT})
+    compiled, classes = map(int, proc.stdout.split())
+    assert compiled == 0 and classes == len(SAMPLES)

@@ -2,11 +2,19 @@
 
 For each source tree given with ``--src LABEL=PATH`` this times, in fresh
 processes: bare ``python -c pass``, ``import reesval.cli``, and each of
-the seven ``cli-session`` commands of the benchmark (text form).  Every
-round runs each (tree, command) pair once in a shuffled order, so all
-trees and commands share the machine's noisy phases; the report keeps
-the min and median of the rounds in milliseconds, and names each tree by
-its commit, where it has one, and by a sha256 of its modules.
+the fourteen ``cli-session`` commands of the benchmark (the seven in text
+and in ``--json`` form).  Every round runs each (tree, command) pair once
+in a shuffled order, so all trees and commands share the machine's noisy
+phases; the report keeps the min and median of the rounds in
+milliseconds, and names each tree by its commit, where it has one, and
+by a sha256 of its modules.
+
+With no cached bytecode a process compiles every module it imports, so
+the report also lists, per (tree, command), the ``reesval`` modules the
+process compiles and their summed source lines and bytes: a count that
+does not depend on the machine.  One more process per pair, run with
+``-X importtime``, names the modules it imports; a ``-m`` module, run as
+``__main__``, is added to them.
 
     python3 tools/cli_split.py --src parent=../parent/src --src change=src \\
         --out BENCH_7.json
@@ -68,10 +76,30 @@ def commands(files: dict[str, str]) -> dict[str, list[str]]:
         "import reesval.cli": [python, "-c", "import reesval.cli"],
     }
     names = {key: Path(path).name for key, path in files.items()}
-    for template in workloads.CLI_COMMANDS:
+    for template in workloads.cli_argvs():
         name = "reesval " + " ".join(a.format(**names) for a in template)
         out[name] = [python, "-m", "reesval.cli", *(a.format(**files) for a in template)]
     return out
+
+
+def compiled(argv: list[str], env: dict[str, str], src: Path) -> dict:
+    """The ``reesval`` modules the process of ``argv`` loads, with their source lines and bytes."""
+    proc = subprocess.run([argv[0], "-X", "importtime", *argv[1:]], env=env,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    names = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
+             if line.startswith("import time:")}
+    if "-m" in argv:
+        names.add(argv[argv.index("-m") + 1])
+    modules = sorted(n for n in names if n.split(".")[0] == "reesval")
+    sources = [
+        (src / "reesval" / f"{n.partition('.')[2] or '__init__'}.py").read_bytes()
+        for n in modules
+    ]
+    return {
+        "modules": modules,
+        "lines": sum(text.count(b"\n") for text in sources),
+        "bytes": sum(map(len, sources)),
+    }
 
 
 def wall_ms(argv: list[str], env: dict[str, str]) -> float:
@@ -94,6 +122,10 @@ def measure(sources: dict[str, Path]) -> dict:
             rng.shuffle(pairs)
             for label, name in pairs:
                 samples[label][name].append(wall_ms(cmds[name], envs[label]))
+        loads = {
+            label: {name: compiled(argv, envs[label], src) for name, argv in cmds.items()}
+            for label, src in sources.items()
+        }
     return {
         label: {
             "commit": commit_of(src),
@@ -102,6 +134,7 @@ def measure(sources: dict[str, Path]) -> dict:
                 name: {"min": round(min(v), 2), "median": round(statistics.median(v), 2)}
                 for name, v in samples[label].items()
             },
+            "compiles": loads[label],
         }
         for label, src in sources.items()
     }
