@@ -385,10 +385,12 @@ class TestReesValuations:
         assert sorted(_facets_dd(gens, 2)) == sorted(_facets_2d(gens))
 
     @settings(deadline=None)
-    @given(ideals(3, 6, 12))
-    def test_double_description_matches_candidate_scan_3d(self, ideal):
-        gens = ideal.generators
-        assert sorted(_facets_dd(gens, 3)) == candidate_scan_facets(gens, 3)
+    @given(ideals(3, 6, 12), st.randoms(use_true_random=False))
+    def test_double_description_matches_candidate_scan_3d(self, ideal, rng):
+        # the generators are added by degree, in whatever order they come
+        gens = list(ideal.generators)
+        rng.shuffle(gens)
+        assert sorted(_facets_dd(tuple(gens), 3)) == candidate_scan_facets(ideal.generators, 3)
 
     @pytest.mark.parametrize("n, seed", [(16, 1301), (18, 1302), (20, 1303)])
     def test_double_description_on_convex_surfaces_3d(self, n, seed):
@@ -418,15 +420,41 @@ class TestReesValuations:
             assert sorted(_facets_dd(gens, 3)) == candidate_scan_facets(gens, 3)
 
     @settings(deadline=None)
-    @given(st.sets(st.tuples(*[st.integers(0, 2)] * 4).filter(any), min_size=1, max_size=7))
-    @example({(2, 0, 0, 0), (1, 1, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 1, 1), (0, 0, 0, 2)})
-    @example({(1, 2, 1, 2), (1, 2, 2, 1), (2, 0, 2, 2), (2, 1, 1, 1), (3, 0, 1, 0), (3, 2, 0, 0)})
-    def test_double_description_4d(self, vecs):
+    @given(
+        st.sets(st.tuples(*[st.integers(0, 2)] * 4).filter(any), min_size=1, max_size=7),
+        st.randoms(use_true_random=False),
+    )
+    @example(
+        {(2, 0, 0, 0), (1, 1, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 1, 1), (0, 0, 0, 2)},
+        random.Random(0),
+    )
+    @example(
+        {(1, 2, 1, 2), (1, 2, 2, 1), (2, 0, 2, 2), (2, 1, 1, 1), (3, 0, 1, 0), (3, 2, 0, 0)},
+        random.Random(1),
+    )
+    def test_double_description_4d(self, vecs, rng):
         # From d = 4 on, d - 1 common tight constraints can be dependent
         # (three collinear generators), so adjacency needs the third-ray
         # check, which the examples exercise; MonomialIdeal stops at d = 3.
-        gens = tuple(v for v in sorted(vecs) if not any(w != v and divides(w, v) for w in vecs))
-        assert sorted(_facets_dd(gens, 4)) == candidate_scan_facets(gens, 4)
+        gens = [v for v in sorted(vecs) if not any(w != v and divides(w, v) for w in vecs)]
+        expected = candidate_scan_facets(gens, 4)
+        rng.shuffle(gens)
+        assert sorted(_facets_dd(tuple(gens), 4)) == expected
+
+    @pytest.mark.parametrize(
+        "gens",
+        [
+            # pure powers: one facet besides the five walls
+            [(2, 0, 0, 0, 0), (0, 3, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 2, 0), (0, 0, 0, 0, 1)],
+            # three collinear generators in the (x1, x2) plane
+            [(2, 0, 0, 0, 0), (1, 1, 0, 0, 0), (0, 2, 0, 0, 0), (0, 0, 1, 1, 1), (1, 0, 0, 2, 0)],
+            [(1, 2, 0, 1, 0), (0, 1, 2, 0, 1), (2, 0, 1, 0, 2), (1, 1, 1, 1, 1), (0, 0, 0, 3, 1)],
+        ],
+    )
+    def test_double_description_5d(self, gens):
+        # the compiled step differs by d: five coordinates and the third-ray scan
+        expected = candidate_scan_facets(sorted(gens), 5)
+        assert sorted(_facets_dd(tuple(reversed(gens)), 5)) == expected
 
     @settings(deadline=None)
     @given(st.one_of(ideals(1, 8, 3), ideals(2, 12, 12), ideals(3, 6, 10)))
@@ -441,6 +469,47 @@ class TestReesValuations:
         first = rees_valuations(minimalize(gens))
         second = rees_valuations(minimalize(list(reversed(gens))))
         assert first == second
+
+
+class TestDoubleDescriptionStep:
+    @pytest.fixture
+    def compiled(self, monkeypatch):
+        """The source of every step compiled from here on, from an empty cache."""
+        sources = []
+
+        def recording_exec(source, namespace):
+            sources.append(source)
+            exec(source, namespace)
+
+        monkeypatch.setattr(monomial, "_DD_STEPS", {})
+        monkeypatch.setattr(monomial, "exec", recording_exec, raising=False)
+        return sources
+
+    def test_compiled_on_the_first_step_and_once(self, compiled):
+        # the 2D chain and a one-generator ideal take no double-description step
+        assert normals_and_integers(rees_valuations(minimalize({(2, 0), (1, 1), (0, 2)}))) == [
+            ((1, 1), 2)
+        ]
+        assert normals_and_integers(principal((1, 4, 2)))[0] == ((0, 0, 1), 2)
+        assert compiled == [] and monomial._DD_STEPS == {}
+        pure = minimalize({(2, 0, 0), (0, 3, 0), (0, 0, 4)})
+        assert normals_and_integers(rees_valuations(pure)) == [((6, 4, 3), 12)]
+        ideal = sphere_ideal(16, 1301)
+        facets = candidate_scan_facets(ideal.generators, 3)
+        assert sorted(_facets_dd(ideal.generators, 3)) == facets
+        assert len(compiled) == 1 and list(monomial._DD_STEPS) == [3]
+        # the third-ray scan is emitted only from d = 4 on
+        assert "sum(" not in compiled[0]
+        monomial._dd_step(4)
+        assert len(compiled) == 2 and "sum(" in compiled[1]
+
+    @pytest.mark.parametrize("d", [3.0, "3", "3) or __import__('os') or (", None, Fraction(3)])
+    def test_non_integer_dimension_is_refused_before_compiling(self, compiled, d):
+        with pytest.raises(TypeError):
+            monomial._dd_step(d)
+        with pytest.raises(TypeError):
+            _facets_dd(((2, 0, 0), (0, 2, 0)), d)
+        assert compiled == [] and monomial._DD_STEPS == {}
 
 
 def principal(b):
