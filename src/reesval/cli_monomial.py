@@ -9,9 +9,7 @@ as ``__main__``.
 
 from __future__ import annotations
 
-import math
-
-from .errors import InputError
+from .errors import InputError, lcm_of
 from .monomial import integral_closure_power, monomial_str, parse_ideal, rees_valuations
 
 
@@ -42,7 +40,7 @@ def cmd_rees(args) -> dict:
             for v in package.valuations
         ],
         "rees_integers": list(package.rees_integers),
-        "lcm": math.lcm(*package.rees_integers),
+        "lcm": lcm_of(package.rees_integers),
     }
     return {"command": "rees", "input": _ideal_echo(ideal), "payload": payload, "warnings": []}
 

@@ -4,8 +4,9 @@ Two branches matter to callers: ``InputError`` covers bad inputs and
 precondition violations (CLI exit code 2), while ``VerificationError``
 means an internal cross-check failed, i.e. a bug (CLI exit code 3).
 :func:`read_int` reads an integer argument or field against a lower
-bound, raising the ``InputError`` its caller names, and
-:func:`int_text` writes a computed integer into a message.
+bound, raising the ``InputError`` its caller names,
+:func:`int_text` writes a computed integer into a message, and
+:func:`lcm_of` takes the lcm of a list of integers, such as Rees integers.
 """
 
 import math
@@ -143,3 +144,21 @@ def int_text(value: int) -> str:
         return str(value)
     except ValueError:
         return f"~10^{int(math.log10(value))}"
+
+
+_LCM_SHORT = 8
+
+
+def lcm_of(values) -> int:
+    """``math.lcm(*values)`` for a sequence of ints.
+
+    ``math.lcm`` folds from the left, a pass over the growing lcm per
+    value; a list longer than ``_LCM_SHORT`` is first halved by pairwise
+    lcms, so only the last rounds take the gcd of big integers.
+    """
+    while len(values) > _LCM_SHORT:
+        paired = list(map(math.lcm, values[::2], values[1::2]))
+        if len(values) % 2:
+            paired.append(values[-1])
+        values = paired
+    return math.lcm(*values)

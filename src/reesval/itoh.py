@@ -10,17 +10,22 @@ radicality is decided by exponent arithmetic on int tuples.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable, Sequence
 
 from .errors import (
     BadKError,
     EquivalenceViolation,
     NonPositiveError,
+    lcm_of,
     read_int,
 )
 from .dvrcalc import _root_invariants
 from .record import Record
+
+
+def _read_rees_integers(values) -> tuple[int, ...]:
+    """``values`` as a tuple of Rees integers, each read as an int >= 1."""
+    return tuple([read_int(e, 1, "Rees integer", NonPositiveError) for e in values])
 
 
 class ReesData(Record):
@@ -29,7 +34,7 @@ class ReesData(Record):
     __slots__ = ("entries",)
 
     def __post_init__(self):
-        entries = tuple([read_int(e, 1, "Rees integer", NonPositiveError) for e in self.entries])
+        entries = _read_rees_integers(self.entries)
         if not entries:
             raise NonPositiveError("Rees data must be nonempty")
         ReesData.entries.__set__(self, entries)
@@ -39,7 +44,7 @@ class ReesData(Record):
 
     @property
     def lcm(self) -> int:
-        return math.lcm(*self.entries)
+        return lcm_of(self.entries)
 
 
 def rees_data(entries: Iterable[int] | ReesData) -> ReesData:

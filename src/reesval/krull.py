@@ -30,10 +30,11 @@ from .errors import (
     NotCommonMultipleError,
     NotMultipleError,
     int_text,
+    lcm_of,
     read_int,
 )
 from .dvrcalc import _root_invariants
-from .itoh import ReesData, _radical, rees_data
+from .itoh import ReesData, _radical, _read_rees_integers, rees_data
 from .record import Record
 
 FAMILY_SPLIT = "S"
@@ -68,23 +69,19 @@ def is_consistent(system: ConsistentSystem) -> bool:
     )
 
 
-def _lcm_rows(family: str, entries: tuple[int, ...], m0: int, k: int) -> tuple[int, list]:
-    """Degree k*m0 of family S, T or U, m0 the lcm of ``entries``, and its one entry
-    per Rees integer e_j as (e_j, residue degree, ramification, multiplicity), of
-    e*f*mult k*m0."""
-    if family == FAMILY_SPLIT:
-        return k * m0, [(e, 1, m0 // e, k * e) for e in entries]
-    if family == FAMILY_INERT:
-        return k * m0, [(e, k * e, m0 // e, 1) for e in entries]
-    return k * m0, [(e, 1, k * (m0 // e), e) for e in entries]
-
-
 def _lcm_family(family: str, rees: ReesData | Sequence[int], k: int) -> ConsistentSystem:
+    """Family S, T or U of degree k*m0, m0 the lcm of the Rees integers, with one
+    entry (residue degree, ramification, multiplicity) per Rees integer e_j."""
     rd = rees_data(rees)
     k = read_int(k, 1, "parameter k", NonPositiveError)
-    m, rows = _lcm_rows(family, rd.entries, rd.lcm, k)
-    per = tuple([(SystemEntry(f, c, n),) for _, f, c, n in rows])
-    return ConsistentSystem(m=m, per_valuation=per, family=family)
+    m0 = rd.lcm
+    if family == FAMILY_SPLIT:
+        per = [(SystemEntry(1, m0 // e, k * e),) for e in rd.entries]
+    elif family == FAMILY_INERT:
+        per = [(SystemEntry(k * e, m0 // e, 1),) for e in rd.entries]
+    else:
+        per = [(SystemEntry(1, k * (m0 // e), e),) for e in rd.entries]
+    return ConsistentSystem(m=k * m0, per_valuation=tuple(per), family=family)
 
 
 def build_split_system(rees: ReesData | Sequence[int], k: int) -> ConsistentSystem:
@@ -193,21 +190,10 @@ class RealizationReport(Record):
         return self.jacobson_exponent
 
 
-def _realization(m: int, rows: list) -> RealizationReport:
-    """Realization of a consistent degree-m system from its entries' rows
-    (e_j, residue degree, ramification, multiplicity): an entry stands for
-    multiplicity maximal ideals, each of extended ideal exponent e_j * ramification."""
-    exponents = tuple([e_j * c for e_j, _, c, _ in rows])
-    first = exponents[0]
-    if any(x != first for x in exponents):
-        # int_text: an exponent too long for str would crash the message
-        listed = ", ".join(map(int_text, exponents))
-        raise NonUniformError(f"extended ideal exponents are not uniform: ({listed})")
-    return RealizationReport(m, sum([n for _, _, _, n in rows]), first)
-
-
 def realize_plan(system: ConsistentSystem, rees: ReesData | Sequence[int]) -> RealizationReport:
-    """Realization numerology for a system built from the given Rees data."""
+    """Realization numerology for a system built from the given Rees data:
+    an entry over Rees integer e_j stands for multiplicity maximal ideals,
+    each of extended ideal exponent e_j * ramification, which must agree."""
     rd = rees_data(rees)
     if not is_consistent(system):
         raise InconsistentSystemError("refusing to realize an inconsistent system")
@@ -215,11 +201,16 @@ def realize_plan(system: ConsistentSystem, rees: ReesData | Sequence[int]) -> Re
         raise IndexMismatchError(
             f"system has {len(system.per_valuation)} valuations, Rees data has {len(rd)}"
         )
-    return _realization(system.m, [
-        (e_j, entry.residue_degree, entry.ramification, entry.multiplicity)
-        for e_j, row in zip(rd.entries, system.per_valuation)
-        for entry in row
-    ])
+    entries = [
+        (e_j, entry) for e_j, row in zip(rd.entries, system.per_valuation) for entry in row
+    ]
+    exponents = tuple([e_j * entry.ramification for e_j, entry in entries])
+    first = exponents[0]
+    if any(x != first for x in exponents):
+        # int_text: an exponent too long for str would crash the message
+        listed = ", ".join(map(int_text, exponents))
+        raise NonUniformError(f"extended ideal exponents are not uniform: ({listed})")
+    return RealizationReport(system.m, sum([entry.multiplicity for _, entry in entries]), first)
 
 
 def common_multiple_realization(rees: ReesData | Sequence[int], e: int) -> RealizationReport:
@@ -266,8 +257,7 @@ class Component(Record):
             raise NonPositiveError("participating component needs Rees data")
         if not self.participates and entries:
             raise NonPositiveError("non-participating component must carry no Rees data")
-        Component.rees_integers.__set__(self, tuple(
-            [read_int(e, 1, "Rees integer", NonPositiveError) for e in entries]))
+        Component.rees_integers.__set__(self, _read_rees_integers(entries))
 
 
 class ComponentPlan(Record):
@@ -296,40 +286,26 @@ def direct_sum_plan(plan: ComponentPlan, e: int) -> DirectSumReport:
     """Extend each participating component to uniform Rees integer e.
 
     Requires e to be a positive multiple of the lcm of all Rees
-    integers across participating components.  Each participating
-    component gets a ramified-family realization of degree e, from its
-    validated integers; the rest pass through.
+    integers across participating components; the rest pass through.
+    A participating component, of Rees integers e_j and lcm m0, realizes
+    family U with k = e/m0: degree e, and e_j maximal ideals of exponent
+    e_j * k*(m0/e_j) = e per e_j, so the closed form (e, sum of e_j, e).
     """
     e = read_int(e, 1, "target integer", NonPositiveError)
     all_entries = [
         x for c in plan.components if c.participates for x in c.rees_integers
     ]
-    overall = math.lcm(*all_entries)
+    overall = lcm_of(all_entries)
     if e % overall != 0:
         raise NotMultipleError(
-            f"{e} is not a multiple of the overall lcm {int_text(overall)}"
+            f"{int_text(e)} is not a multiple of the overall lcm {int_text(overall)}"
         )
-    outcomes = []
-    for comp in plan.components:
-        if not comp.participates:
-            outcomes.append(
-                ComponentOutcome(participates=False, rees_integers=(), realization=None)
-            )
-            continue
-        entries = comp.rees_integers
-        m0 = math.lcm(*entries)
-        report = _realization(*_lcm_rows(FAMILY_RAMIFIED, entries, m0, e // m0))
-        if report.uniform_rees_integer != e:
-            raise NonUniformError(
-                f"component realization reached {report.uniform_rees_integer}, wanted {e}"
-            )
-        outcomes.append(
-            ComponentOutcome(
-                participates=True,
-                rees_integers=comp.rees_integers,
-                realization=report,
-            )
-        )
+    # a non-participating component carries no Rees integers and passes through
+    outcomes = [
+        ComponentOutcome(c.participates, c.rees_integers,
+                         RealizationReport(e, sum(c.rees_integers), e) if c.participates else None)
+        for c in plan.components
+    ]
     return DirectSumReport(
         extension_degree=e,
         components=tuple(outcomes),
@@ -357,19 +333,19 @@ class FullnessReport(Record):
 def projective_fullness_check(rees: ReesData | Sequence[int]) -> FullnessReport:
     """Realize family S with k = 1 and verify the three radical-ideal claims.
 
-    The claims hold by construction once ``_realization`` has found the
-    extended ideal's exponents uniform: the Jacobson radical (1, ..., 1)
-    is radical and primitive, and the extended ideal (m, ..., m) is a
-    multiple of it.  Repeating a coordinate changes none of them, so
-    each is decided on one coordinate per system entry, not one per
-    maximal ideal, by int arithmetic on the exponent vectors.
+    With m0 the lcm of the Rees integers e_j, family S at k = 1 has
+    degree m0 and e_j maximal ideals of exponent e_j * (m0/e_j) = m0 per
+    e_j, so the closed form (m0, sum of e_j, m0).  The claims hold by
+    construction: the Jacobson radical (1, ..., 1) is radical and
+    primitive, and the extended ideal (m0, ..., m0) is a multiple of it.
+    Repeating a coordinate changes none of them, so each is decided on
+    one coordinate, by int arithmetic on the exponent vectors.
     """
     rd = rees_data(rees)
-    report = _realization(*_lcm_rows(FAMILY_SPLIT, rd.entries, rd.lcm, 1))
-    radical = (1,) * len(rd)
-    extended = (report.jacobson_exponent,) * len(rd)
+    m0 = rd.lcm
+    radical, extended = (1,), (m0,)
     return FullnessReport(
-        realization=report,
+        realization=RealizationReport(m0, sum(rd.entries), m0),
         is_radical=_radical(radical) == radical,
         projectively_full=math.gcd(*radical) == 1,
         equivalent_to_extension=all(

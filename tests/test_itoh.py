@@ -1,12 +1,13 @@
 import itertools
 import math
+import time
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reesval import dvrcalc, errors, itoh, krull, puiseux
-from reesval.errors import BadKError, EquivalenceViolation, NonPositiveError
+from reesval.errors import BadKError, EquivalenceViolation, NonPositiveError, lcm_of
 from reesval.itoh import ReesData, itoh_structure, radicality_equivalence
 
 
@@ -166,6 +167,23 @@ def test_lcm_examples():
     assert ReesData((2, 3)).lcm == 6
     assert ReesData((4,)).lcm == 4
     assert ReesData((2, 4, 6)).lcm == brute_lcm([2, 4, 6]) == 12
+
+
+# lists longer than errors._LCM_SHORT are halved by pairwise lcms first
+@settings(deadline=None)
+@given(st.lists(st.integers(-10**9, 10**9), max_size=300))
+def test_lcm_of_equals_math_lcm(xs):
+    assert lcm_of(xs) == lcm_of(tuple(xs)) == math.lcm(*xs)
+
+
+def test_itoh_structure_of_a_long_rees_list_is_quick():
+    # the lcm of 1..200 000 has ~288 000 bits; a left fold takes it in
+    # time quadratic in the list length
+    start = time.perf_counter()
+    report = itoh_structure(range(1, 200_001), 10**12)
+    assert time.perf_counter() - start < 2.0
+    assert len(report.per_valuation) == 200_000 and not report.is_radical
+    assert all(report.least_radical_k % e == 0 for e in (199_999, 2**17, 3**11))
 
 
 @given(st.lists(st.integers(1, 30), min_size=1, max_size=5))

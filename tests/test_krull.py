@@ -1,7 +1,10 @@
 import itertools
+import math
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reesval.dvrcalc import general_k_extension
 from reesval.errors import (
@@ -11,12 +14,14 @@ from reesval.errors import (
     NonUniformError,
     NotCommonMultipleError,
     NotMultipleError,
+    lcm_of,
 )
 from reesval.itoh import ReesData
 from reesval.krull import (
     Component,
     ComponentPlan,
     ConsistentSystem,
+    RealizationReport,
     SystemEntry,
     algebraically_closed_warning,
     build_inert_system,
@@ -327,6 +332,12 @@ class TestDirectSumPlan:
         with pytest.raises(NotMultipleError):
             direct_sum_plan(plan, 4)
 
+    def test_refusal_names_a_long_e_by_its_size(self):
+        plan = ComponentPlan((Component((2, 3), True),))
+        with pytest.raises(NotMultipleError) as info:
+            direct_sum_plan(plan, 10**5000 + 1)
+        assert str(info.value) == "~10^5000 is not a multiple of the overall lcm 6"
+
     def test_needs_participant(self):
         with pytest.raises(NonPositiveError):
             ComponentPlan((Component((), False),))
@@ -368,6 +379,63 @@ class TestProjectiveFullnessCheck:
         assert time.perf_counter() - start < 1.0
         assert report.realization.maximal_ideal_count == 100_001
         assert report.ok
+
+
+# direct_sum_plan and projective_fullness_check take their realizations
+# from closed forms; realize_plan computes the same ones from the system
+# rows of family U and S and checks their exponents uniform.  Lists of
+# up to 40 entries reach the halving loop of errors.lcm_of.
+REES_LISTS = st.lists(st.integers(1, 60), min_size=1, max_size=40)
+
+
+class TestClosedForms:
+    @settings(deadline=None)
+    @given(REES_LISTS)
+    def test_fullness_realization_is_family_s_at_k_one(self, rees):
+        report = projective_fullness_check(rees)
+        assert report.realization == realize_plan(build_system("S", rees, 1), rees)
+        assert report.ok
+
+    @settings(deadline=None)
+    @given(
+        st.lists(st.lists(st.integers(1, 60), max_size=40), min_size=1, max_size=4)
+        .filter(any),
+        st.integers(1, 4),
+    )
+    def test_direct_sum_realizations_are_family_u(self, comps, q):
+        plan = ComponentPlan(tuple(Component(tuple(c), bool(c)) for c in comps))
+        e = math.lcm(*[x for c in comps for x in c]) * q
+        report = direct_sum_plan(plan, e)
+        for c, outcome in zip(comps, report.components):
+            if not c:
+                assert outcome.realization is None
+                continue
+            system = build_system("U", c, e // math.lcm(*c))
+            assert outcome.realization == realize_plan(system, c)
+
+
+class TestLongReesLists:
+    # the lcm of 1..200 000 has ~288 000 bits; a left fold takes it in
+    # time quadratic in the list length, and each closed form is one
+    # coordinate, with no per-entry division or product
+    N = 200_000
+
+    def test_projective_fullness_check_is_quick(self):
+        start = time.perf_counter()
+        report = projective_fullness_check(range(1, self.N + 1))
+        assert time.perf_counter() - start < 2.0
+        assert report.realization.maximal_ideal_count == self.N * (self.N + 1) // 2
+        assert report.ok
+
+    def test_direct_sum_plan_is_quick(self):
+        plan = ComponentPlan((Component(tuple(range(1, self.N + 1)), True),))
+        e = lcm_of(range(1, self.N + 1))
+        start = time.perf_counter()
+        report = direct_sum_plan(plan, e)
+        assert time.perf_counter() - start < 2.0
+        assert report.components[0].realization == RealizationReport(
+            e, self.N * (self.N + 1) // 2, e
+        )
 
 
 class TestAlgebraicallyClosedWarning:
