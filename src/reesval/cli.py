@@ -25,7 +25,8 @@ EXIT_VERIFICATION = 3
 def render_json(report: dict) -> str:
     import json  # only --json output needs it
 
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    # a value JSON has no type for, such as a monomial, is written as its str
+    return json.dumps(report, sort_keys=True, indent=2, default=str) + "\n"
 
 
 def _inline(value: object) -> str | None:

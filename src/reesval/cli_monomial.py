@@ -23,11 +23,23 @@ def _read_ideal(path: str):
     return parse_ideal(text)
 
 
+class _Monomial:
+    """Exponents that ``cli._render`` prints as a monomial, refusing them if too long."""
+
+    __slots__ = ("exponents",)
+
+    def __init__(self, exponents):
+        self.exponents = exponents
+
+    def __str__(self) -> str:
+        return monomial_str(self.exponents)
+
+
 def _ideal_echo(ideal) -> dict[str, object]:
     return {
         "dim": ideal.dim,
         "generators": [list(g) for g in ideal.generators],
-        "monomials": [monomial_str(g) for g in ideal.generators],
+        "monomials": list(map(_Monomial, ideal.generators)),
     }
 
 
@@ -52,7 +64,7 @@ def cmd_closure(args) -> dict:
     echo["k"] = args.k
     payload = {
         "closure_generators": [list(g) for g in closure.generators],
-        "monomials": [monomial_str(g) for g in closure.generators],
+        "monomials": list(map(_Monomial, closure.generators)),
     }
     return {"command": "closure", "input": echo, "payload": payload, "warnings": []}
 

@@ -22,7 +22,7 @@ import bisect
 import itertools
 import math
 import operator
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence, Sized
 
 from .errors import (
     EmptyGeneratorsError,
@@ -33,6 +33,7 @@ from .errors import (
     NonPositivePowerError,
     OutputLimitError,
     ParseError,
+    VerificationError,
     ZeroExponentError,
     int_text,
     read_int,
@@ -42,39 +43,6 @@ from .record import Record
 Vec = tuple[int, ...]
 
 _VAR_NAMES = ("x", "y", "z")
-
-
-def _earlier_divisors(vecs: Sequence[Vec]) -> Iterator[tuple[Vec, Vec | None]]:
-    """Pair each vector of a lexicographically sorted list with an earlier divisor.
-
-    The divisor is None when no earlier vector divides.  Vectors have at
-    most three coordinates, padded with zeros to three.  An earlier
-    vector is never larger in the first coordinate, so it divides exactly
-    when its tail (last two coordinates) is componentwise <= the current
-    tail.  The minimal tails seen so far form a staircase: heads strictly
-    increase and ends strictly decrease, so the one candidate divisor is
-    the last step whose head is <= the current head, found by bisection.
-    All vectors have the same length.
-    """
-    heads: list[int] = []
-    ends: list[int] = []
-    owners: list[Vec] = []
-    tails = list(zip(*vecs))[1:] + [[0] * len(vecs)] * 2  # columns, zero-padded
-    for v, head, end in zip(vecs, tails[0], tails[1]):
-        i = bisect.bisect_right(heads, head)
-        if i and ends[i - 1] <= end:
-            yield v, owners[i - 1]
-            continue
-        # Steps at or right of the new head with ends >= end are no longer minimal.
-        lo = i - 1 if i and heads[i - 1] == head else i
-        hi = lo
-        while hi < len(ends) and ends[hi] >= end:
-            hi += 1
-        if hi == lo + 1:  # the common case, and cheaper than a slice
-            heads[lo], ends[lo], owners[lo] = head, end, v
-        else:
-            heads[lo:hi], ends[lo:hi], owners[lo:hi] = [head], [end], [v]
-        yield v, None
 
 
 def _primitive(v: Vec) -> Vec:
@@ -96,19 +64,40 @@ def monomial_str(m: Vec) -> str:
 def _minimal(vecs: list[Vec], d: int) -> list[Vec]:
     """The members of a lexicographically sorted list that no earlier member divides.
 
-    In 2D an earlier member never has a larger x, so it divides exactly
-    when its y is not larger: the list is an antichain exactly when y
-    strictly decreases, which one comparison pass decides, and otherwise
-    the members kept are those whose y is below every earlier y.  In 1D
-    and 3D the staircase of :func:`_earlier_divisors` takes O(g log g).
+    They are the ideal's minimal generators, each once: an equal member
+    divides too.  In 2D an earlier member divides exactly when its y is
+    not larger, so the members kept are those whose y is below every
+    earlier y, and one comparison pass keeps a list whose y strictly
+    decreases whole.  In 1D and 3D, padded with zeros to three
+    coordinates, it divides exactly when its tail (last two coordinates)
+    is componentwise <= the current tail.  The minimal tails seen so far
+    form a staircase, heads strictly increasing and ends strictly
+    decreasing, so the one candidate divisor is the last step whose head
+    is <= the current head, found by bisection: O(g log g) in all.
     """
-    if d != 2:
-        return [v for v, divisor in _earlier_divisors(vecs) if divisor is None]
-    ys = [v[1] for v in vecs]
-    if all(map(operator.gt, ys, ys[1:])):
-        return vecs
-    lows = itertools.accumulate(ys, min, initial=ys[0] + 1)
-    return list(itertools.compress(vecs, map(operator.lt, ys, lows)))
+    if d == 2:
+        ys = [v[1] for v in vecs]
+        if all(map(operator.gt, ys, ys[1:])):
+            return vecs
+        lows = itertools.accumulate(ys, min, initial=ys[0] + 1)
+        return list(itertools.compress(vecs, map(operator.lt, ys, lows)))
+    heads, ends, kept = [], [], []
+    tails = list(zip(*vecs))[1:] + [[0] * len(vecs)] * 2  # columns, zero-padded
+    for v, head, end in zip(vecs, tails[0], tails[1]):
+        i = bisect.bisect_right(heads, head)
+        if i and ends[i - 1] <= end:
+            continue
+        # Steps at or right of the new head with ends >= end are no longer minimal.
+        lo = i - 1 if i and heads[i - 1] == head else i
+        hi = lo
+        while hi < len(ends) and ends[hi] >= end:
+            hi += 1
+        if hi == lo + 1:  # the common case, and cheaper than a slice
+            heads[lo], ends[lo] = head, end
+        else:
+            heads[lo:hi], ends[lo:hi] = [head], [end]
+        kept.append(v)
+    return kept
 
 
 def _read(gens: Sequence[Sequence[int]]) -> tuple[set[int], list[int]]:
@@ -134,8 +123,7 @@ def _read(gens: Sequence[Sequence[int]]) -> tuple[set[int], list[int]]:
 
 def _first_fault(gens: Sequence[Sequence[int]], d: int) -> InputError:
     """The error of the first generator, in sorted order, that fails a check."""
-    vecs = sorted([tuple(map(operator.index, g)) for g in gens])
-    for g in vecs:
+    for g in sorted([tuple(map(operator.index, g)) for g in gens]):
         if len(g) != d:
             return InconsistentDimensionError(
                 f"generator {g} has length {len(g)}, expected {d}"
@@ -144,27 +132,22 @@ def _first_fault(gens: Sequence[Sequence[int]], d: int) -> InputError:
             return ImproperIdealError(f"negative exponent in generator {g}")
         if not any(g):
             return ImproperIdealError("the unit monomial cannot generate a proper ideal")
-    multiple, divisor = next((g, w) for g, w in _earlier_divisors(vecs) if w is not None)
-    return ImproperIdealError(
-        f"generators are not an antichain: {multiple} is a multiple of {divisor}"
-    )
 
 
 class MonomialIdeal(Record):
-    """A proper nonzero monomial ideal given by its minimal generators.
+    """A proper nonzero monomial ideal, stored by its minimal generators.
 
-    ``generators`` is a nonempty sequence of exponent sequences of
-    length ``dim``, 1 <= dim <= 3.  Every exponent is read once with
+    ``generators`` is any nonempty generating set: a sequence of
+    exponent sequences of length ``dim``, 1 <= dim <= 3, nonnegative
+    and without the unit monomial.  Every exponent is read once with
     ``operator.index``, so a float or a Fraction is refused, not
-    truncated.  The generators are stored as a lexicographically sorted
-    tuple of int tuples, and must be a nonnegative antichain without
-    the unit monomial: no generator divides another, and no two are
-    equal.  Any other input raises an ``InputError``; use
-    :func:`minimalize` to build an ideal from an arbitrary generating
-    set.  Each check is a builtin pass over all generators, and the
-    antichain check is one comparison pass in 2D and O(g log g) in 1D
-    and 3D.  Only when a check fails are the generators walked in
-    sorted order, to name the first one that fails.
+    truncated.  The generators are sorted once and reduced once by
+    :func:`_minimal`, and the ideal stores the minimal ones as a
+    lexicographically sorted tuple of int tuples: a redundant or
+    repeated generator is dropped.  Any other input raises an
+    ``InputError``.  Each check is a builtin pass over all generators;
+    only when one fails are the generators walked in sorted order, to
+    name the first one that fails.
     """
 
     __slots__ = ("dim", "generators")
@@ -182,10 +165,10 @@ class MonomialIdeal(Record):
             raise EmptyGeneratorsError("a monomial ideal needs at least one generator")
         raw = tuple(self.generators)
         lengths, exps = _read(raw)
-        if lengths == {d}:
-            gens = sorted(zip(*[iter(exps)] * d))
-            # sorted and nonnegative, the unit monomial could only come first
-            if min(exps) >= 0 and any(gens[0]) and len(_minimal(gens, d)) == len(gens):
+        if lengths == {d} and min(exps) >= 0:
+            gens = _minimal(sorted(zip(*[iter(exps)] * d)), d)
+            # the unit monomial divides every generator, so it alone would be kept
+            if any(gens[0]):
                 MonomialIdeal.dim.__set__(self, d)
                 MonomialIdeal.generators.__set__(self, tuple(gens))
                 return
@@ -197,22 +180,18 @@ class MonomialIdeal(Record):
 
 
 def minimalize(gens: Iterable[Sequence[int]], dim: int | None = None) -> MonomialIdeal:
-    """Drop every generator that is a monomial multiple of another.
+    """The ideal a generating set generates, by its minimal generators.
 
-    The surviving antichain generates the same ideal.  Exponents are
-    read with ``operator.index``, as in :class:`MonomialIdeal`.
+    ``dim`` defaults to the length of the first generator; the set is
+    read, sorted and reduced once, by :class:`MonomialIdeal`.
     """
     gens = tuple(gens)
-    lengths, exps = _read(gens)
     if not gens:
         raise EmptyGeneratorsError("empty generating set")
-    if len(lengths) != 1 or dim not in (None, *lengths):
-        vecs = sorted([tuple(map(operator.index, g)) for g in gens])
-        d = dim if dim is not None else len(vecs[0])
-        v = next(v for v in vecs if len(v) != d)
-        raise InconsistentDimensionError(f"generator {v} has length {len(v)}, expected {d}")
-    d = lengths.pop()
-    return MonomialIdeal(d, _minimal(sorted(zip(*[iter(exps)] * d)), d))
+    if dim is None:
+        # a first generator with no length is refused under any dimension
+        dim = len(gens[0]) if isinstance(gens[0], Sized) else 1
+    return MonomialIdeal(dim, gens)
 
 
 class ReesValuationSpec(Record):
@@ -464,14 +443,18 @@ def integral_closure_power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
         for low in lows:
             floor = list(map(min, floor, low))
         gens += [q + (t, z) for t, z, f in zip(span, zs, floor) if z < f]
-    return MonomialIdeal(d, tuple(gens))
+    closure = MonomialIdeal(d, gens)
+    dropped = len(gens) - len(closure.generators)
+    if dropped:  # the walk emits a column only if no lower neighbour divides it
+        raise VerificationError(f"the closure walk emitted {dropped} non-minimal generators")
+    return closure
 
 
 def ideal_power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
     """The k-th power as an ideal, by repeated multiplication.
 
     I^j = I^(j-1) * I is generated by the sums of one minimal generator
-    of I^(j-1) and one of I, so each step minimalizes those products
+    of I^(j-1) and one of I, so each step reduces those products
     instead of all C(n+k-1, k) k-fold sums of the n generators.
     """
     k = read_int(k, 1, "power", NonPositivePowerError)
@@ -482,7 +465,7 @@ def ideal_power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
             for p in power.generators
             for g in ideal.generators
         )
-        power = minimalize(sums, ideal.dim)
+        power = MonomialIdeal(ideal.dim, tuple(sums))
     return power
 
 
@@ -524,8 +507,7 @@ def parse_ideal(text: str) -> MonomialIdeal:
         raise ParseError("missing 'dim d' header")
     if not gens:
         raise ParseError("no generators given")
-    # every exponent is already an int, checked nonnegative, dim to a line
-    return MonomialIdeal(dim, _minimal(sorted(gens), dim))
+    return MonomialIdeal(dim, gens)
 
 
 def __getattr__(name: str):

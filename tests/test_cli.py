@@ -7,7 +7,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reesval.cli import main
@@ -603,6 +603,8 @@ def _cli_calls(draw):
 
 @settings(deadline=None, max_examples=300)
 @given(call=_cli_calls())
+# a 1D closure whose one exponent is past the 4300 digits str prints
+@example(call=(["closure", "IDEAL", "--k", str(10**2000 + 3)], f"dim 1\n{10**3000 + 7}\n".encode()))
 def test_main_answers_or_refuses_within_a_second(tmp_path_factory, call):
     argv, data = call
     if data is not None:

@@ -1,9 +1,7 @@
-import ast
 import itertools
 import math
 import operator
 import random
-import re
 import time
 from fractions import Fraction
 
@@ -20,6 +18,7 @@ from reesval.errors import (
     NonPositivePowerError,
     OutputLimitError,
     ParseError,
+    VerificationError,
 )
 from reesval.monomial import (
     MAX_CLOSURE_COLUMNS,
@@ -242,6 +241,11 @@ def random_ideal(rng, dim=2, max_coord=6, max_gens=5):
             return minimalize(gens, dim)
 
 
+def pairwise_minimal(vecs):
+    """The distinct members no other member divides, sorted: the minimal generators."""
+    return tuple(sorted({v for v in vecs if not any(w != v and divides(w, v) for w in vecs)}))
+
+
 class TestMinimalize:
     def test_drops_dominated(self):
         ideal = minimalize({(2, 0), (3, 1), (0, 3)})
@@ -262,15 +266,41 @@ class TestMinimalize:
             minimalize({(1, 0), (1, 0, 0)})
 
     def test_improper_ideal_rejected(self):
+        # the unit monomial is refused, alone or beside the generators it divides
+        for gens in [((0, 0),), ((1, 0), (0, 0)), ((0, 0, 0), (1, 2, 3))]:
+            with pytest.raises(ImproperIdealError):
+                MonomialIdeal(len(gens[0]), gens)
+
+    def test_constructor_keeps_the_minimal_generators(self):
         for gens in [
-            ((0, 0),),
             ((1, 0), (2, 0)),
             ((1, 2), (0, 3), (1, 2)),  # duplicate
             ((0, 1, 5), (1, 0, 0), (1, 0, 3)),
             ((1, 0, 1), (0, 1, 0), (0, 0, 1)),  # multiple two places after its divisor
         ]:
-            with pytest.raises(ImproperIdealError):
-                MonomialIdeal(len(gens[0]), gens)
+            assert MonomialIdeal(len(gens[0]), gens).generators == pairwise_minimal(gens)
+
+    def test_each_intake_reduces_once(self, monkeypatch):
+        ideal = MonomialIdeal(3, ((4, 0, 0), (0, 4, 0), (0, 0, 4), (1, 1, 1)))
+        calls, minimal = [], monomial._minimal
+
+        def counting(vecs, d):
+            calls.append(d)
+            return minimal(vecs, d)
+
+        monkeypatch.setattr(monomial, "_minimal", counting)
+        for build, runs in [
+            (lambda: MonomialIdeal(3, ((1, 0, 0), (2, 0, 0), (0, 1, 1))), 1),
+            (lambda: MonomialIdeal(2, ((2, 0), (0, 3))), 1),
+            (lambda: minimalize([(1, 0), (2, 0), (0, 1)]), 1),
+            (lambda: minimalize([(1, 0, 0), (2, 0, 0)], 3), 1),
+            (lambda: parse_ideal("dim 3\n1 0 0\n2 0 0\n0 1 1\n"), 1),
+            (lambda: parse_ideal("dim 2\n2 0\n0 3\n"), 1),
+            (lambda: ideal_power(ideal, 5), 4),  # one per step
+        ]:
+            calls.clear()
+            build()
+            assert len(calls) == runs
 
     @given(
         st.sets(
@@ -288,28 +318,9 @@ class TestMinimalize:
 
     @given(st.one_of(sorted_vectors, shuffled_antichains()))
     def test_matches_pairwise_minimalization(self, vecs):
-        expected = {v for v in vecs if not any(w != v and divides(w, v) for w in vecs)}
-        assert minimalize(vecs).generators == tuple(sorted(expected))
-
-    @given(st.one_of(sorted_vectors, shuffled_antichains()))
-    def test_antichain_check_matches_pairwise(self, vecs):
-        d = len(vecs[0])
-        if not any(
-            divides(a, b) or divides(b, a) for a, b in itertools.combinations(vecs, 2)
-        ):
-            assert MonomialIdeal(d, vecs).generators == tuple(sorted(vecs))
-            return
-        messages = set()
-        for order in (vecs, sorted(vecs), sorted(vecs, reverse=True)):
-            with pytest.raises(ImproperIdealError) as err:
-                MonomialIdeal(d, order)
-            messages.add(str(err.value))
-        # the verdict and the named pair do not depend on the input order
-        (message,) = messages
-        named = re.findall(r"\([\d, ]*\)", message)
-        multiple, divisor = map(ast.literal_eval, named)
-        assert multiple in vecs and divisor in vecs and divides(divisor, multiple)
-        assert multiple != divisor or vecs.count(divisor) > 1
+        expected = pairwise_minimal(vecs)
+        assert minimalize(vecs).generators == expected
+        assert MonomialIdeal(len(vecs[0]), vecs).generators == expected
 
 
 class TestReesValuations:
@@ -596,6 +607,16 @@ class TestIntegralClosure:
         assert integral_closure_power(pure, 1).generators == (
             (0, 0, 2), (0, 1, 1), (0, 2, 0), (1, 0, 1), (1, 1, 0), (2, 0, 0)
         )
+
+    def test_walk_emitting_a_non_minimal_generator_fails_verification(self, monkeypatch):
+        # z >= 1 + |x - y| is no Newton polyhedron: z is not monotone, and
+        # the walk, which compares each column with its lower neighbours
+        # only, emits z and x*y*z
+        facets = [((1, -1, 1), 1), ((-1, 1, 1), 1)]
+        monkeypatch.setattr(monomial, "_rees_facets", lambda ideal: facets)
+        cube = MonomialIdeal(3, ((2, 0, 0), (0, 2, 0), (0, 0, 2)))
+        with pytest.raises(VerificationError, match="non-minimal generators"):
+            integral_closure_power(cube, 1)
 
     def test_rejects_bad_power(self):
         with pytest.raises(NonPositivePowerError):

@@ -23,6 +23,7 @@ from reesval.errors import (
     EmptyGeneratorsError,
     ImproperIdealError,
     InconsistentDimensionError,
+    IndexMismatchError,
     NonIntegralSetupError,
     NonPositiveError,
     ZeroExponentError,
@@ -197,6 +198,12 @@ def test_unequal_values_differ():
             id="ComponentPlan-none-participates",
         ),
         pytest.param(
+            lambda: krull.realize_plan(krull.build_system("S", (2, 3), 1), (2,)),
+            IndexMismatchError,
+            "system has 2 valuations, Rees data has 1",
+            id="realize_plan-index-mismatch",
+        ),
+        pytest.param(
             lambda: monomial.MonomialIdeal(4, ((1, 0, 0, 0),)),
             InconsistentDimensionError,
             "dimension must be 1..3, got 4",
@@ -227,12 +234,6 @@ def test_unequal_values_differ():
             id="MonomialIdeal-unit",
         ),
         pytest.param(
-            lambda: monomial.MonomialIdeal(2, ((1, 1), (2, 2))),
-            ImproperIdealError,
-            "generators are not an antichain: (2, 2) is a multiple of (1, 1)",
-            id="MonomialIdeal-not-antichain",
-        ),
-        pytest.param(
             lambda: monomial.MonomialIdeal(2.0, ((1, 0), (0, 1))),
             InconsistentDimensionError,
             "dimension must be an integer, got 2.0",
@@ -255,6 +256,13 @@ def test_unequal_values_differ():
             ImproperIdealError,
             "generator (Fraction(3, 2), 0) is not a sequence of integers",
             id="minimalize-fraction-exponent",
+        ),
+        # with no dim given, a first generator without a length is refused, not a TypeError
+        pytest.param(
+            lambda: monomial.minimalize([5, (0, 2)]),
+            ImproperIdealError,
+            "generator 5 is not a sequence of integers",
+            id="minimalize-int-generator",
         ),
         pytest.param(
             lambda: monomial.ReesValuationSpec((1.5, 1), 2.5),
@@ -396,6 +404,13 @@ def test_validation_messages(build, error, message):
     with pytest.raises(error) as info:
         build()
     assert str(info.value) == message
+
+
+def test_monomial_ideal_keeps_the_minimal_generators():
+    # a multiple and a repeat of a generator are dropped, not refused
+    ideal = monomial.MonomialIdeal(2, ((2, 2), (1, 1), (1, 1)))
+    assert ideal == monomial.MonomialIdeal(2, ((1, 1),))
+    assert ideal.generators == ((1, 1),)
 
 
 def test_spec_accepts_a_primitive_normal_with_zero_coordinates():
