@@ -320,7 +320,19 @@ class TestMinimalize:
     def test_matches_pairwise_minimalization(self, vecs):
         expected = pairwise_minimal(vecs)
         assert minimalize(vecs).generators == expected
-        assert MonomialIdeal(len(vecs[0]), vecs).generators == expected
+
+    @given(st.one_of(sorted_vectors, shuffled_antichains()))
+    def test_antichain_check_matches_pairwise(self, vecs):
+        d = len(vecs[0])
+        expected = pairwise_minimal(vecs)
+        antichain = not any(
+            divides(a, b) or divides(b, a) for a, b in itertools.combinations(vecs, 2)
+        )
+        # an antichain is kept whole; any other set loses exactly its multiples
+        assert antichain == (expected == tuple(sorted(vecs)))
+        # and the constructor's answer does not depend on the input order
+        for order in (vecs, sorted(vecs), sorted(vecs, reverse=True)):
+            assert MonomialIdeal(d, order).generators == expected
 
 
 class TestReesValuations:
