@@ -110,7 +110,7 @@ def _parse_components(raw: str) -> krull.ComponentPlan:
         except ValueError:
             raise BadKError(f"bad component Rees list {segment!r}") from None
         components.append(krull.Component(rees_integers=entries, participates=True))
-    return krull.ComponentPlan(tuple(components))
+    return krull.ComponentPlan(components)
 
 
 def cmd_co2(args) -> dict:

@@ -1,43 +1,19 @@
-"""Symbolic calculus of discrete valuation ring extensions.
+"""Invariants of discrete valuation ring extensions.
 
-A DVR enters only through numeric invariants: the value of the
-distinguished element u (uniformizer exponent), and the number of
-transcendental generators adjoined to its residue field.  An extension
-of DVRs is a record of (degree, ramification index, residue degree);
-towers multiply these componentwise.  The two building blocks are the
-unramified extension generated by a root of X^e - w for a
-residue-transcendental unit w (degree e, residue degree e) and the
-totally ramified extension by a root of the uniformizer (degree f,
+An extension of DVRs is a record of (degree, ramification index,
+residue degree); a tower of them multiplies these componentwise.  The
+paper's two-step tower has an unramified step, a root of X^e - w for a
+residue-transcendental unit w (degree e, residue degree e), and then a
+totally ramified step, a root of the uniformizer (degree f,
 ramification f).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 
-from .errors import (
-    NonPositiveError,
-    NoTranscendentalError,
-    NotMultipleError,
-    read_int,
-)
+from .errors import NonPositiveError, NotMultipleError, read_int
 from .record import Record
-
-
-class DVRSpec(Record):
-    """A DVR with u-value e (u generates the e-th power of the maximal ideal).
-
-    ``transcendentals`` counts the transcendental generators (such as
-    the residue of t*b) adjoined to its residue field.
-    """
-
-    __slots__ = ("uniformizer_exponent", "transcendentals")
-    _defaults = {"transcendentals": 0}
-    _ints = {
-        "uniformizer_exponent": (1, "uniformizer exponent", NonPositiveError),
-        "transcendentals": (0, "transcendental count", NonPositiveError),
-    }
 
 
 class ExtensionStep(Record):
@@ -53,53 +29,38 @@ class ExtensionStep(Record):
 
 
 class Tower(Record):
-    """A chain of extension steps over a base DVR, bottom step first."""
+    """A chain of extension steps, bottom step first, stored as a tuple."""
 
-    __slots__ = ("base", "steps")
+    __slots__ = ("steps",)
+
+    def __post_init__(self):
+        Tower.steps.__set__(self, tuple(self.steps))
 
     def composite(self) -> ExtensionStep:
-        """Componentwise product of all steps."""
-        return functools.reduce(compose, self.steps, ExtensionStep(1, 1, 1))
-
-
-def unramified_kummer_step(w: DVRSpec) -> ExtensionStep:
-    """Adjoin a root of X^e - w for the residue-transcendental unit w = v/(t*b).
-
-    The residue image of the unit is transcendental over the base
-    residue field, so the reduced polynomial is irreducible and the
-    extension has degree e, ramification one, residue degree e.  Without
-    a transcendental residue generator the irreducibility argument is
-    unavailable.
-    """
-    if w.transcendentals < 1:
-        raise NoTranscendentalError(
-            "unramified Kummer step needs a transcendental residue generator"
-        )
-    e = w.uniformizer_exponent
-    return ExtensionStep(degree=e, ramification=1, residue_degree=e)
-
-
-def totally_ramified_root_step(f: int) -> ExtensionStep:
-    """Adjoin an f-th root of the uniformizer: degree f, ramification f."""
-    f = read_int(f, 1, "root order", NonPositiveError)
-    return ExtensionStep(degree=f, ramification=f, residue_degree=1)
+        """The one step whose invariants are the products of the steps' invariants."""
+        degree = ramification = residue_degree = 1
+        for s in self.steps:
+            degree *= s.degree
+            ramification *= s.ramification
+            residue_degree *= s.residue_degree
+        return ExtensionStep(degree, ramification, residue_degree)
 
 
 def itoh_tower(e_j: int, e: int) -> Tower:
     """The two-step tower W <= U <= V* for a common multiple e of e_j.
 
-    First the unramified Kummer step of degree e_j, then a totally
-    ramified root step of order e/e_j.  The composite has degree e,
-    ramification e/e_j, residue degree e_j, with no splitting.
+    First the unramified Kummer step of degree e_j, adjoining a root of
+    X^(e_j) - w for the unit w = v/(t*b), whose residue is
+    transcendental; then a totally ramified root step of order
+    q = e/e_j.  The composite has degree e, ramification q, residue
+    degree e_j, with no splitting.
     """
     e_j = read_int(e_j, 1, "e_j", NonPositiveError)
     e = read_int(e, 1, "e", NonPositiveError)
     if e % e_j != 0:
         raise NotMultipleError(f"{e} is not a multiple of {e_j}")
-    base = DVRSpec(uniformizer_exponent=e_j, transcendentals=1)
-    kummer = unramified_kummer_step(base)
-    root = totally_ramified_root_step(e // e_j)
-    return Tower(base=base, steps=(kummer, root))
+    q = e // e_j
+    return Tower((ExtensionStep(e_j, 1, e_j), ExtensionStep(q, q, 1)))
 
 
 def _root_invariants(e: int, k: int) -> tuple[int, int, int]:
@@ -117,15 +78,6 @@ def general_k_extension(e: int, k: int) -> ExtensionStep:
     e = read_int(e, 1, "e", NonPositiveError)
     k = read_int(k, 1, "k", NonPositiveError)
     return ExtensionStep(*_root_invariants(e, k))
-
-
-def compose(t1: ExtensionStep, t2: ExtensionStep) -> ExtensionStep:
-    """Stack t2 on top of t1; all three invariants multiply."""
-    return ExtensionStep(
-        degree=t1.degree * t2.degree,
-        ramification=t1.ramification * t2.ramification,
-        residue_degree=t1.residue_degree * t2.residue_degree,
-    )
 
 
 class FundamentalReport(Record):

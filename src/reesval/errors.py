@@ -53,10 +53,6 @@ class ZeroExponentError(InputError):
     pass
 
 
-class NoTranscendentalError(InputError):
-    pass
-
-
 class NotMultipleError(InputError):
     pass
 

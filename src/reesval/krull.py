@@ -57,8 +57,10 @@ class ConsistentSystem(Record):
     _ints = {"m": (1, "system degree m", NonPositiveError)}
 
     def __post_init__(self):
-        if not self.per_valuation:
+        rows = tuple(map(tuple, self.per_valuation))
+        if not rows:
             raise NonPositiveError("system needs at least one valuation")
+        ConsistentSystem.per_valuation.__set__(self, rows)
 
 
 def is_consistent(system: ConsistentSystem) -> bool:
@@ -81,7 +83,7 @@ def _lcm_family(family: str, rees: ReesData | Sequence[int], k: int) -> Consiste
         per = [(SystemEntry(k * e, m0 // e, 1),) for e in rd.entries]
     else:
         per = [(SystemEntry(1, k * (m0 // e), e),) for e in rd.entries]
-    return ConsistentSystem(m=k * m0, per_valuation=tuple(per), family=family)
+    return ConsistentSystem(m=k * m0, per_valuation=per, family=family)
 
 
 def build_split_system(rees: ReesData | Sequence[int], k: int) -> ConsistentSystem:
@@ -109,7 +111,7 @@ def build_root_adjunction_system(
     for e in rd.entries:
         _, c, d = _root_invariants(e, k)
         per.append((SystemEntry(d, c),))
-    return ConsistentSystem(m=k, per_valuation=tuple(per), family=FAMILY_ROOT)
+    return ConsistentSystem(m=k, per_valuation=per, family=FAMILY_ROOT)
 
 
 _BUILDERS = {
@@ -264,8 +266,10 @@ class ComponentPlan(Record):
     __slots__ = ("components",)
 
     def __post_init__(self):
-        if not any(c.participates for c in self.components):
+        components = tuple(self.components)
+        if not any(c.participates for c in components):
             raise NonPositiveError("at least one component must participate")
+        ComponentPlan.components.__set__(self, components)
 
 
 class ComponentOutcome(Record):

@@ -161,9 +161,9 @@ class MonomialIdeal(Record):
             ) from None
         if not 1 <= d <= 3:
             raise InconsistentDimensionError(f"dimension must be 1..3, got {d}")
-        if not self.generators:
+        raw = tuple(self.generators or ())
+        if not raw:
             raise EmptyGeneratorsError("a monomial ideal needs at least one generator")
-        raw = tuple(self.generators)
         lengths, exps = _read(raw)
         if lengths == {d} and min(exps) >= 0:
             gens = _minimal(sorted(zip(*[iter(exps)] * d)), d)

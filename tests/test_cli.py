@@ -90,8 +90,10 @@ class TestItohCommand:
         assert "root order" in err
 
     def test_rejects_bad_rees(self, capsys):
-        code, _, _ = run_cli(capsys, "itoh", "--rees", "2,x", "--k", "4")
+        code, out, err = run_cli(capsys, "itoh", "--rees", "2,x", "--k", "4")
         assert code == 2
+        assert out == ""
+        assert err == "error: bad Rees integer list '2,x'\n"
 
 
 class TestTowerCommand:
@@ -264,6 +266,12 @@ class TestCo2Command:
         assert code == 0
         assert "maximal_ideal_count: 100001" in out
         assert err == ""
+
+    def test_rejects_bad_rees(self, capsys):
+        code, out, err = run_cli(capsys, "co2", "--components", "2,x;", "--e", "6")
+        assert code == 2
+        assert out == ""
+        assert err == "error: bad component Rees list '2,x'\n"
 
     @pytest.mark.parametrize("components", ["2,0", "0;"])
     def test_zero_rees_integer_is_an_input_error(self, capsys, components):

@@ -5,64 +5,33 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from reesval.dvrcalc import (
-    DVRSpec,
     ExtensionStep,
     Tower,
     check_fundamental,
-    compose,
     general_k_extension,
     itoh_tower,
-    totally_ramified_root_step,
-    unramified_kummer_step,
 )
-from reesval.errors import (
-    NonPositiveError,
-    NoTranscendentalError,
-    NotMultipleError,
-)
-
-
-class TestLift:
-    def test_itoh_tower_base_is_the_lift(self):
-        # W lifts a Rees valuation ring with u-value e_j to the extended
-        # Rees ring: same exponent, one transcendental residue generator.
-        for e_j in range(1, 9):
-            base = itoh_tower(e_j, 2 * e_j).base
-            assert base == DVRSpec(e_j, transcendentals=1)
-
-    @pytest.mark.parametrize(
-        "exponent,transcendentals,message",
-        [
-            (0, 0, "uniformizer exponent must be >= 1"),
-            (2, -1, "transcendental count must be >= 0"),
-        ],
-    )
-    def test_rejects_bad_spec(self, exponent, transcendentals, message):
-        with pytest.raises(NonPositiveError, match=message):
-            DVRSpec(exponent, transcendentals=transcendentals)
+from reesval.errors import NonPositiveError, NotMultipleError
 
 
 class TestKummerStep:
+    # the bottom step of the tower: a root of X^e - w, unramified of degree e
     @pytest.mark.parametrize("e,expected", [(3, (3, 1, 3)), (1, (1, 1, 1)), (6, (6, 1, 6))])
     def test_invariants(self, e, expected):
-        w = DVRSpec(e, transcendentals=1)
-        s = unramified_kummer_step(w)
-        assert s.invariants == expected
-
-    def test_requires_transcendental(self):
-        with pytest.raises(NoTranscendentalError):
-            unramified_kummer_step(DVRSpec(3))
+        kummer, _ = itoh_tower(e, 2 * e).steps
+        assert kummer.invariants == expected
 
 
 class TestRootStep:
+    # the top step of the tower: an f-th root of the uniformizer
     @pytest.mark.parametrize("f,expected", [(2, (2, 2, 1)), (1, (1, 1, 1)), (5, (5, 5, 1))])
     def test_invariants(self, f, expected):
-        s = totally_ramified_root_step(f)
-        assert s.invariants == expected
+        _, root = itoh_tower(3, 3 * f).steps
+        assert root.invariants == expected
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(NonPositiveError):
-            totally_ramified_root_step(0)
+        with pytest.raises(NonPositiveError, match="^e must be >= 1, got 0$"):
+            itoh_tower(3, 0)
 
 
 class TestItohTower:
@@ -122,54 +91,51 @@ class TestGeneralKExtension:
 
 class TestCompose:
     def test_unramified_then_ramified(self):
-        a = ExtensionStep(6, 1, 6)
-        b = ExtensionStep(2, 2, 1)
-        assert compose(a, b).invariants == (12, 2, 6)
+        tower = Tower((ExtensionStep(6, 1, 6), ExtensionStep(2, 2, 1)))
+        assert tower.composite().invariants == (12, 2, 6)
 
     def test_identity(self):
         for s in [ExtensionStep(6, 3, 2), ExtensionStep(5, 1, 5)]:
-            assert compose(ExtensionStep(1, 1, 1), s).invariants == s.invariants
+            assert Tower((ExtensionStep(1, 1, 1), s)).composite() == s
 
     def test_factorization_matches_gcd_calculus(self):
-        a = ExtensionStep(2, 1, 2)
-        b = ExtensionStep(3, 3, 1)
-        assert compose(a, b).invariants == general_k_extension(4, 6).invariants
+        tower = Tower((ExtensionStep(2, 1, 2), ExtensionStep(3, 3, 1)))
+        assert tower.composite() == general_k_extension(4, 6)
 
     @given(
         st.lists(
             st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)),
-            min_size=3,
             max_size=4,
-        )
+        ),
+        st.integers(0, 4),
     )
-    def test_associative(self, triples):
+    def test_associative(self, triples, cut):
+        # the componentwise product, also when the steps below the cut are
+        # first folded into one
         steps = [ExtensionStep(d, r, f) for d, r, f in triples]
-        left = steps[0]
-        for s in steps[1:]:
-            left = compose(left, s)
-        right = steps[-1]
-        for s in reversed(steps[:-1]):
-            right = compose(s, right)
-        assert left.invariants == right.invariants
+        expected = tuple(math.prod(column) for column in zip((1, 1, 1), *triples))
+        assert Tower(steps).composite().invariants == expected
+        grouped = Tower([Tower(steps[:cut]).composite(), *steps[cut:]])
+        assert grouped.composite().invariants == expected
 
     def test_chain_unramified_then_root(self):
         # W <= U <= D with [U:W] = k unramified and D totally ramified of order h
         for k in range(1, 9):
             for h in range(1, 9):
-                w = DVRSpec(k, transcendentals=1)
-                u_step = unramified_kummer_step(w)
-                d_step = totally_ramified_root_step(h)
-                total = compose(u_step, d_step)
-                assert total.invariants == (h * k, h, k)
-                tower = Tower(w, (u_step, d_step))
-                assert tower.composite() == total
+                tower = Tower((ExtensionStep(k, 1, k), ExtensionStep(h, h, 1)))
+                assert tower.composite().invariants == (h * k, h, k)
                 assert check_fundamental(tower).ok
 
 
 class TestTowerComposite:
     def test_empty_tower_is_identity(self):
-        total = Tower(DVRSpec(3), ()).composite()
-        assert total.invariants == (1, 1, 1)
+        assert Tower(()).composite().invariants == (1, 1, 1)
+
+    def test_steps_given_as_an_iterator_are_read_once(self):
+        steps = (ExtensionStep(2, 1, 2), ExtensionStep(3, 3, 1))
+        tower = Tower(iter(steps))
+        assert tower.steps == steps
+        assert tower.composite() == tower.composite() == ExtensionStep(6, 3, 2)
 
 
 class TestCheckFundamental:
@@ -187,7 +153,7 @@ class TestCheckFundamental:
     def test_failing_step_fails(self):
         # a split extension: ramification * residue degree < degree
         assert check_fundamental(ExtensionStep(4, 1, 2)).checks == (False,)
-        tower = Tower(DVRSpec(2), (ExtensionStep(2, 1, 2), ExtensionStep(4, 3, 2)))
+        tower = Tower((ExtensionStep(2, 1, 2), ExtensionStep(4, 3, 2)))
         assert tower.composite().invariants == (8, 3, 4)
         report = check_fundamental(tower)
         assert report.checks == (True, False, False)

@@ -166,6 +166,14 @@ class TestGate:
         assert not decision.realizable and decision.condition is None
         assert str(decision) == "UNDECIDED"
 
+    def test_rows_given_as_iterators_are_read_once(self):
+        system = ConsistentSystem(6, (iter([SystemEntry(1, 6)]),))
+        assert system.per_valuation == ((SystemEntry(1, 6),),)
+        assert str(realizability_gate(system)) == "REALIZABLE via (1)"
+        assert realize_plan(system, (1,)).jacobson_exponent == 6
+        # the outer sequence may be an iterator too
+        assert ConsistentSystem(6, iter([[SystemEntry(1, 6)]])) == system
+
     def test_rejects_inconsistent(self):
         system = ConsistentSystem(
             m=6, per_valuation=((SystemEntry(1, 3, 1),),), family="manual"
@@ -341,6 +349,13 @@ class TestDirectSumPlan:
     def test_needs_participant(self):
         with pytest.raises(NonPositiveError):
             ComponentPlan((Component((), False),))
+
+    def test_components_given_as_an_iterator_are_read_once(self):
+        plan = ComponentPlan(iter([Component((2, 3), True)]))
+        assert plan == ComponentPlan((Component((2, 3), True),))
+        report = direct_sum_plan(plan, 6)
+        assert report.combined_rees_integers == (2, 3)
+        assert report.components[0].realization.maximal_ideal_count == 5
 
     def test_rejects_nonpositive_rees_integers(self):
         for entries in [(2, 0), (0,), (3, -1)]:

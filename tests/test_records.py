@@ -43,9 +43,8 @@ VALUATION = itoh.ItohValuationRecord(2, 2, 3, 1)
 
 # one valid argument tuple per record class, in field order
 SAMPLES = {
-    dvrcalc.DVRSpec: (2, 1),
     dvrcalc.ExtensionStep: (6, 3, 2),
-    dvrcalc.Tower: (dvrcalc.DVRSpec(2, 1), (dvrcalc.ExtensionStep(2, 1, 2),)),
+    dvrcalc.Tower: ((dvrcalc.ExtensionStep(2, 1, 2),),),
     dvrcalc.FundamentalReport: ((True, False),),
     puiseux.PuiseuxModel: (4, 6),
     itoh.ReesData: ((2, 3),),
@@ -119,18 +118,6 @@ def test_unequal_values_differ():
 @pytest.mark.parametrize(
     "build, error, message",
     [
-        pytest.param(
-            lambda: dvrcalc.DVRSpec(0),
-            NonPositiveError,
-            "uniformizer exponent must be >= 1, got 0",
-            id="DVRSpec-zero-exponent",
-        ),
-        pytest.param(
-            lambda: dvrcalc.DVRSpec(1, -1),
-            NonPositiveError,
-            "transcendental count must be >= 0, got -1",
-            id="DVRSpec-negative-transcendentals",
-        ),
         pytest.param(
             lambda: dvrcalc.ExtensionStep(1, 0, 1),
             NonPositiveError,
@@ -214,6 +201,19 @@ def test_unequal_values_differ():
             EmptyGeneratorsError,
             "a monomial ideal needs at least one generator",
             id="MonomialIdeal-no-generator",
+        ),
+        # an empty iterator is refused as the empty tuple is, once read
+        pytest.param(
+            lambda: monomial.MonomialIdeal(2, iter(())),
+            EmptyGeneratorsError,
+            "a monomial ideal needs at least one generator",
+            id="MonomialIdeal-empty-iterator",
+        ),
+        pytest.param(
+            lambda: monomial.MonomialIdeal(2, (g for g in ())),
+            EmptyGeneratorsError,
+            "a monomial ideal needs at least one generator",
+            id="MonomialIdeal-empty-generator-expression",
         ),
         pytest.param(
             lambda: monomial.MonomialIdeal(2, ((1,),)),
@@ -356,15 +356,10 @@ def test_unequal_values_differ():
             id=f"{site}-{type(value).__name__}",
         )
         for site, call, error, what in [
-            ("DVRSpec-exponent", lambda x: dvrcalc.DVRSpec(x), NonPositiveError,
-             "uniformizer exponent"),
-            ("DVRSpec-transcendentals", lambda x: dvrcalc.DVRSpec(1, x), NonPositiveError,
-             "transcendental count"),
             ("ExtensionStep", lambda x: dvrcalc.ExtensionStep(x, 1, 1), NonPositiveError,
              "degree"),
-            ("totally_ramified_root_step", lambda x: dvrcalc.totally_ramified_root_step(x),
-             NonPositiveError, "root order"),
             ("itoh_tower", lambda x: dvrcalc.itoh_tower(x, 6), NonPositiveError, "e_j"),
+            ("itoh_tower-e", lambda x: dvrcalc.itoh_tower(3, x), NonPositiveError, "e"),
             ("general_k_extension", lambda x: dvrcalc.general_k_extension(4, x),
              NonPositiveError, "k"),
             (
@@ -419,7 +414,6 @@ def test_spec_accepts_a_primitive_normal_with_zero_coordinates():
 
 # every int field a record reads stores the int it read, not the value given
 INT_FIELDS = {
-    dvrcalc.DVRSpec: ("uniformizer_exponent", "transcendentals"),
     dvrcalc.ExtensionStep: ("degree", "ramification", "residue_degree"),
     puiseux.PuiseuxModel: ("e", "k"),
     krull.SystemEntry: ("residue_degree", "ramification", "multiplicity"),
