@@ -32,9 +32,7 @@ class Tower(Record):
     """A chain of extension steps, bottom step first, stored as a tuple."""
 
     __slots__ = ("steps",)
-
-    def __post_init__(self):
-        Tower.steps.__set__(self, tuple(self.steps))
+    _tuples = __slots__
 
     def composite(self) -> ExtensionStep:
         """The one step whose invariants are the products of the steps' invariants."""
@@ -84,6 +82,7 @@ class FundamentalReport(Record):
     """One Fundamental Equality verdict per checked step."""
 
     __slots__ = ("checks",)
+    _tuples = __slots__
 
     @property
     def ok(self) -> bool:
@@ -98,9 +97,8 @@ def check_fundamental(steps: ExtensionStep | Tower) -> FundamentalReport:
     Fundamental Equality must hold for each of them.
     """
     if isinstance(steps, ExtensionStep):
-        seq: tuple[ExtensionStep, ...] = (steps,)
-    else:
-        seq = steps.steps + (steps.composite(),)
+        return FundamentalReport((steps.ramification * steps.residue_degree == steps.degree,))
     return FundamentalReport(
-        tuple(s.ramification * s.residue_degree == s.degree for s in seq)
+        [s.ramification * s.residue_degree == s.degree
+         for s in steps.steps + (steps.composite(),)]
     )

@@ -22,6 +22,8 @@ from .errors import (
 from .dvrcalc import _root_invariants
 from .record import Record
 
+_puiseux = None  # the oracle module, imported by the first radicality_equivalence
+
 
 def _read_rees_integers(values) -> tuple[int, ...]:
     """``values`` as a tuple of Rees integers, each read as an int >= 1."""
@@ -73,6 +75,7 @@ class ItohValuationRecord(Record):
 
 class ItohReport(Record):
     __slots__ = ("k", "per_valuation", "is_radical", "least_radical_k")
+    _tuples = ("per_valuation",)
 
     @property
     def u_exponents(self) -> tuple[int, ...]:
@@ -89,15 +92,12 @@ def itoh_structure(rees: ReesData | Sequence[int], k: int) -> ItohReport:
     rd = rees_data(rees)
     k = read_int(k, 2, "root order", BadKError)
     records = []
+    radical = True
     for e in rd.entries:
         _, c, d = _root_invariants(e, k)
         records.append(ItohValuationRecord(e, d, c, e // d))
-    return ItohReport(
-        k=k,
-        per_valuation=tuple(records),
-        is_radical=all(r.u_exponent == 1 for r in records),
-        least_radical_k=rd.lcm,
-    )
+        radical = radical and d == e  # the exponent h = e/d is one exactly when d = e
+    return ItohReport(k, records, radical, rd.lcm)
 
 
 class EquivalenceReport(Record):
@@ -131,25 +131,23 @@ def radicality_equivalence(rees: ReesData | Sequence[int], k: int) -> Equivalenc
     The four booleans are computed independently, from ints, and an
     ``EquivalenceViolation`` is raised if they ever disagree.
     """
-    # the oracle loads only when this cross-check runs
-    from .puiseux import _ramification
+    global _puiseux
+    if _puiseux is None:  # the oracle loads only when this cross-check first runs
+        from . import puiseux as _puiseux
 
     rd = rees_data(rees)
     k = read_int(k, 2, "root order", BadKError)
-    exponents = tuple([e // _root_invariants(e, k)[2] for e in rd.entries])
-    oracle_exponents = []
+    exponents, oracle_exponents = [], []
     for e in rd.entries:
-        h, rest = divmod(e * _ramification(e, k), k)
+        exponents.append(e // _root_invariants(e, k)[2])
+        h, rest = divmod(e * _puiseux._ramification(e, k), k)
         if rest:
             raise EquivalenceViolation(f"non-integral exponent for e={e}, k={k}")
         oracle_exponents.append(h)
-    result = EquivalenceReport(
-        k=k,
-        via_tower=all(h == 1 for h in exponents),
-        via_exponent_vector=_radical(exponents) == exponents,
-        via_unextended=all(h <= 1 for h in oracle_exponents),
-        via_divisibility=k % rd.lcm == 0,
-    )
+    exponents = tuple(exponents)
+    # routes (1)-(4); every exponent is >= 1, so "each is one" is "the largest is one"
+    result = EquivalenceReport(k, max(exponents) == 1, _radical(exponents) == exponents,
+                               max(oracle_exponents) <= 1, k % rd.lcm == 0)
     if not result.agreed:
         raise EquivalenceViolation(
             f"radicality statements disagree for rees={rd.entries}, k={k}: {result}"

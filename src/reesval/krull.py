@@ -65,10 +65,14 @@ class ConsistentSystem(Record):
 
 def is_consistent(system: ConsistentSystem) -> bool:
     """True when every per-valuation sum of e*f*multiplicity equals m."""
-    return all(
-        sum([x.residue_degree * x.ramification * x.multiplicity for x in row]) == system.m
-        for row in system.per_valuation
-    )
+    m = system.m
+    for row in system.per_valuation:
+        total = 0
+        for x in row:
+            total += x.residue_degree * x.ramification * x.multiplicity
+        if total != m:
+            return False
+    return True
 
 
 def _lcm_family(family: str, rees: ReesData | Sequence[int], k: int) -> ConsistentSystem:
@@ -83,7 +87,7 @@ def _lcm_family(family: str, rees: ReesData | Sequence[int], k: int) -> Consiste
         per = [(SystemEntry(k * e, m0 // e, 1),) for e in rd.entries]
     else:
         per = [(SystemEntry(1, k * (m0 // e), e),) for e in rd.entries]
-    return ConsistentSystem(m=k * m0, per_valuation=per, family=family)
+    return ConsistentSystem(k * m0, per, family)
 
 
 def build_split_system(rees: ReesData | Sequence[int], k: int) -> ConsistentSystem:
@@ -111,7 +115,7 @@ def build_root_adjunction_system(
     for e in rd.entries:
         _, c, d = _root_invariants(e, k)
         per.append((SystemEntry(d, c),))
-    return ConsistentSystem(m=k, per_valuation=per, family=FAMILY_ROOT)
+    return ConsistentSystem(k, per, FAMILY_ROOT)
 
 
 _BUILDERS = {
@@ -159,14 +163,15 @@ def realizability_gate(
     """Apply the sufficient realizability conditions in order."""
     if not is_consistent(system):
         raise InconsistentSystemError("system fails the consistency sums")
-    # a valuation with a single prescribed extension
-    if any(sum([entry.multiplicity for entry in row]) == 1 for row in system.per_valuation):
-        return GateDecision(realizable=True, condition=1)
+    # a valuation with a single prescribed extension (every multiplicity is >= 1)
+    for row in system.per_valuation:
+        if len(row) == 1 and row[0].multiplicity == 1:
+            return GateDecision(True, 1)
     if has_extra_dvr:
-        return GateDecision(realizable=True, condition=2)
+        return GateDecision(True, 2)
     if has_separable_approximation:
-        return GateDecision(realizable=True, condition=3)
-    return GateDecision(realizable=False)
+        return GateDecision(True, 3)
+    return GateDecision(False)
 
 
 class RealizationReport(Record):
@@ -185,6 +190,7 @@ class RealizationReport(Record):
         "simple_extension",
     )
     _defaults = {"residue_degrees": None, "simple_extension": None}
+    _tuples = ("residue_degrees",)
 
     @property
     def uniform_rees_integer(self) -> int:
@@ -203,16 +209,17 @@ def realize_plan(system: ConsistentSystem, rees: ReesData | Sequence[int]) -> Re
         raise IndexMismatchError(
             f"system has {len(system.per_valuation)} valuations, Rees data has {len(rd)}"
         )
-    entries = [
-        (e_j, entry) for e_j, row in zip(rd.entries, system.per_valuation) for entry in row
-    ]
-    exponents = tuple([e_j * entry.ramification for e_j, entry in entries])
+    exponents, count = [], 0
+    for e_j, row in zip(rd.entries, system.per_valuation):
+        for entry in row:
+            exponents.append(e_j * entry.ramification)
+            count += entry.multiplicity
     first = exponents[0]
-    if any(x != first for x in exponents):
+    if exponents.count(first) != len(exponents):
         # int_text: an exponent too long for str would crash the message
         listed = ", ".join(map(int_text, exponents))
         raise NonUniformError(f"extended ideal exponents are not uniform: ({listed})")
-    return RealizationReport(system.m, sum([entry.multiplicity for _, entry in entries]), first)
+    return RealizationReport(system.m, count, first)
 
 
 def common_multiple_realization(rees: ReesData | Sequence[int], e: int) -> RealizationReport:
@@ -234,13 +241,7 @@ def common_multiple_realization(rees: ReesData | Sequence[int], e: int) -> Reali
         raise NotCommonMultipleError(
             f"{int_text(e)} is not a common multiple of the Rees integers ({listed})"
         )
-    return RealizationReport(
-        extension_degree=e,
-        maximal_ideal_count=len(rd),
-        jacobson_exponent=e,
-        residue_degrees=rd.entries,
-        simple_extension=all(ej == e for ej in rd.entries),
-    )
+    return RealizationReport(e, len(rd), e, rd.entries, all(ej == e for ej in rd.entries))
 
 
 class Component(Record):
@@ -264,16 +265,16 @@ class Component(Record):
 
 class ComponentPlan(Record):
     __slots__ = ("components",)
+    _tuples = __slots__
 
     def __post_init__(self):
-        components = tuple(self.components)
-        if not any(c.participates for c in components):
+        if not any(c.participates for c in self.components):
             raise NonPositiveError("at least one component must participate")
-        ComponentPlan.components.__set__(self, components)
 
 
 class ComponentOutcome(Record):
     __slots__ = ("participates", "rees_integers", "realization")
+    _tuples = ("rees_integers",)
 
 
 class DirectSumReport(Record):
@@ -284,6 +285,7 @@ class DirectSumReport(Record):
     """
 
     __slots__ = ("extension_degree", "components", "combined_rees_integers")
+    _tuples = ("components", "combined_rees_integers")
 
 
 def direct_sum_plan(plan: ComponentPlan, e: int) -> DirectSumReport:
@@ -310,11 +312,7 @@ def direct_sum_plan(plan: ComponentPlan, e: int) -> DirectSumReport:
                          RealizationReport(e, sum(c.rees_integers), e) if c.participates else None)
         for c in plan.components
     ]
-    return DirectSumReport(
-        extension_degree=e,
-        components=tuple(outcomes),
-        combined_rees_integers=tuple(all_entries),
-    )
+    return DirectSumReport(e, outcomes, all_entries)
 
 
 class FullnessReport(Record):
@@ -349,12 +347,10 @@ def projective_fullness_check(rees: ReesData | Sequence[int]) -> FullnessReport:
     m0 = rd.lcm
     radical, extended = (1,), (m0,)
     return FullnessReport(
-        realization=RealizationReport(m0, sum(rd.entries), m0),
-        is_radical=_radical(radical) == radical,
-        projectively_full=math.gcd(*radical) == 1,
-        equivalent_to_extension=all(
-            x * extended[0] == y * radical[0] for x, y in zip(radical, extended)
-        ),
+        RealizationReport(m0, sum(rd.entries), m0),
+        _radical(radical) == radical,
+        math.gcd(*radical) == 1,
+        all(x * extended[0] == y * radical[0] for x, y in zip(radical, extended)),
     )
 
 

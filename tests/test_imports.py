@@ -53,6 +53,17 @@ def test_monomial_loads_only_errors_and_record():
     ]
 
 
+def test_tower_and_krull_calls_load_no_oracle():
+    # radicality_equivalence alone imports the oracle, on its first call
+    assert "reesval.puiseux" not in loaded_submodules(
+        "import reesval.itoh, reesval.krull; "
+        "reesval.itoh.itoh_structure((2, 3), 6); reesval.krull.build_system('EXP2', (2, 3), 6)"
+    )
+    assert "reesval.puiseux" in loaded_submodules(
+        "import reesval.itoh; reesval.itoh.radicality_equivalence((2, 3), 6)"
+    )
+
+
 def test_cli_loads_only_errors():
     assert loaded_submodules("import reesval.cli") == [
         "reesval",

@@ -107,6 +107,17 @@ class TestRadicalityEquivalence:
         verdicts = ", ".join(f"{r}={r not in flipped}" for r in routes)
         assert str(info.value).endswith(f"EquivalenceReport(k=6, {verdicts})")
 
+    def test_a_first_call_does_not_freeze_the_oracle_route(self, monkeypatch):
+        # the oracle module is imported once, and its route looked up on every call
+        assert radicality_equivalence((2, 3), 6).agreed
+        monkeypatch.setattr(puiseux, "_ramification", lambda e, k: k)
+        with pytest.raises(EquivalenceViolation) as info:
+            radicality_equivalence((2, 3), 6)
+        assert str(info.value).endswith(
+            "EquivalenceReport(k=6, via_tower=True, via_exponent_vector=True, "
+            "via_unextended=False, via_divisibility=True)"
+        )
+
 
 # Each call reads each of its inputs once, at its boundary: the four Rees
 # integers and k where it takes one, and nothing its own layers computed.

@@ -17,13 +17,14 @@ from pathlib import Path
 import pytest
 
 import reesval
-from reesval import dvrcalc, itoh, krull, monomial, puiseux
+from reesval import dvrcalc, errors, itoh, krull, monomial, puiseux
 from reesval.errors import (
     BadKError,
     EmptyGeneratorsError,
     ImproperIdealError,
     InconsistentDimensionError,
     IndexMismatchError,
+    InputError,
     NonIntegralSetupError,
     NonPositiveError,
     ZeroExponentError,
@@ -421,11 +422,79 @@ INT_FIELDS = {
 }
 
 
+class _Int(int):
+    pass
+
+
+class _Index:
+    """An integer only through ``__index__``."""
+
+    def __index__(self):
+        return 5
+
+
+# an int field checks an exact int inline and hands anything else to read_int
+INT_INPUTS = [True, False, _Int(4), _Int(0), _Index(), 7, 0, -3, 2.0, "3"]
+
+
 @pytest.mark.parametrize("cls", list(INT_FIELDS), ids=lambda cls: cls.__name__)
 def test_int_fields_store_what_they_read(cls):
+    assert {c for c in SAMPLES if c._ints} == set(INT_FIELDS)
+    assert tuple(cls._ints) == INT_FIELDS[cls]
     fields = INT_FIELDS[cls]
-    record = cls(**{**dict(zip(cls.__slots__, SAMPLES[cls])), **dict.fromkeys(fields, True)})
+    sample = dict(zip(cls.__slots__, SAMPLES[cls]))
+    record = cls(**{**sample, **dict.fromkeys(fields, True)})
     assert [getattr(record, name).__class__ for name in fields] == [int] * len(fields)
+    # each value stores the exact int errors.read_int returns, or is refused
+    # with the error class and message that read_int raises
+    for name, (least, what, error) in cls._ints.items():
+        for value in INT_INPUTS:
+            args = [value if n == name else sample[n] for n in cls.__slots__]
+            try:
+                expected = errors.read_int(value, least, what, error)
+            except InputError as refusal:
+                with pytest.raises(InputError) as info:
+                    cls(*args)
+                assert (type(info.value), str(info.value)) == (type(refusal), str(refusal))
+            else:
+                stored = getattr(cls(*args), name)
+                assert stored.__class__ is int and stored == expected
+
+
+# a property over each sequence field of a record; a field given as an
+# iterator is read once into a tuple, so the property answers the same twice
+READ_TWICE = {
+    dvrcalc.Tower: lambda tower: tower.composite(),
+    dvrcalc.FundamentalReport: lambda report: report.ok,
+    itoh.ReesData: lambda rees: rees.lcm,
+    itoh.ItohReport: lambda report: report.u_exponents,
+    krull.ConsistentSystem: krull.is_consistent,
+    krull.RealizationReport: lambda report: sum(report.residue_degrees),
+    krull.Component: lambda component: sum(component.rees_integers),
+    krull.ComponentPlan: lambda plan: [c.participates for c in plan.components],
+    krull.ComponentOutcome: lambda outcome: sum(outcome.rees_integers),
+    krull.DirectSumReport: lambda report: (report.components, sum(report.combined_rees_integers)),
+    monomial.MonomialIdeal: lambda ideal: ideal.max_coordinate,
+    monomial.ReesValuationSpec: lambda spec: spec.normal,
+    monomial.ReesPackage: lambda package: package.rees_integers,
+}
+
+
+@pytest.mark.parametrize("cls", list(READ_TWICE), ids=lambda cls: cls.__name__)
+def test_sequence_fields_given_as_iterators_are_read_once(cls):
+    # every sequence argument of a sample is a sequence field with a property here
+    assert {c for c, args in SAMPLES.items()
+            if any(isinstance(a, tuple) for a in args)} == set(READ_TWICE)
+    args = SAMPLES[cls]
+    record = cls(*[iter(a) if isinstance(a, tuple) else a for a in args])
+    assert record == cls(*args)
+    read = READ_TWICE[cls]
+    assert read(record) == read(record) == read(cls(*args))
+
+
+def test_a_missing_sequence_stays_missing():
+    assert krull.RealizationReport(1, 5, 6).residue_degrees is None
+    assert krull.RealizationReport(6, 2, 6, None, False).residue_degrees is None
 
 
 def test_oracle_of_a_bool_model_answers_ints():
