@@ -5,8 +5,9 @@ precondition violations (CLI exit code 2), while ``VerificationError``
 means an internal cross-check failed, i.e. a bug (CLI exit code 3).
 :func:`read_int` reads an integer argument or field against a lower
 bound, raising the ``InputError`` its caller names,
-:func:`int_text` writes a computed integer into a message, and
-:func:`lcm_of` takes the lcm of a list of integers, such as Rees integers.
+:func:`int_text` writes an integer into a message and :func:`vec_text`
+a tuple of them, and :func:`lcm_of` takes the lcm of a list of
+integers, such as Rees integers.
 """
 
 import math
@@ -124,12 +125,12 @@ def read_int(value, least: int, what: str, error: type[InputError]) -> int:
         except TypeError:
             raise error(f"{what} must be an integer, got {value!r}") from None
     if value < least:
-        raise error(f"{what} must be >= {least}, got {value}")
+        raise error(f"{what} must be >= {least}, got {int_text(value)}")
     return value
 
 
 def int_text(value: int) -> str:
-    """A positive int in decimal, or as ``~10^n`` when it is too long for ``str``.
+    """An int in decimal, or as ``~10^n`` or ``~-10^n`` when it is too long for ``str``.
 
     CPython refuses to convert an int of more than 4300 digits (the
     default of ``sys.set_int_max_str_digits``) and raises ``ValueError``,
@@ -139,7 +140,13 @@ def int_text(value: int) -> str:
     try:
         return str(value)
     except ValueError:
-        return f"~10^{int(math.log10(value))}"
+        return f"~{'-' if value < 0 else ''}10^{int(math.log10(abs(value)))}"
+
+
+def vec_text(values: tuple[int, ...]) -> str:
+    """A tuple of ints as ``str`` writes it, each int through :func:`int_text`."""
+    texts = list(map(int_text, values))
+    return f"({texts[0]},)" if len(texts) == 1 else f"({', '.join(texts)})"
 
 
 _LCM_SHORT = 8

@@ -37,6 +37,7 @@ from .errors import (
     ZeroExponentError,
     int_text,
     read_int,
+    vec_text,
 )
 from .record import Record
 
@@ -126,10 +127,10 @@ def _first_fault(gens: Sequence[Sequence[int]], d: int) -> InputError:
     for g in sorted([tuple(map(operator.index, g)) for g in gens]):
         if len(g) != d:
             return InconsistentDimensionError(
-                f"generator {g} has length {len(g)}, expected {d}"
+                f"generator {vec_text(g)} has length {len(g)}, expected {d}"
             )
         if min(g) < 0:
-            return ImproperIdealError(f"negative exponent in generator {g}")
+            return ImproperIdealError(f"negative exponent in generator {vec_text(g)}")
         if not any(g):
             return ImproperIdealError("the unit monomial cannot generate a proper ideal")
 
@@ -160,7 +161,7 @@ class MonomialIdeal(Record):
                 f"dimension must be an integer, got {self.dim!r}"
             ) from None
         if not 1 <= d <= 3:
-            raise InconsistentDimensionError(f"dimension must be 1..3, got {d}")
+            raise InconsistentDimensionError(f"dimension must be 1..3, got {int_text(d)}")
         raw = tuple(self.generators or ())
         if not raw:
             raise EmptyGeneratorsError("a monomial ideal needs at least one generator")
@@ -212,7 +213,7 @@ class ReesValuationSpec(Record):
                 raise ZeroExponentError("valuation normal cannot be zero")
             if min(normal) < 0:
                 raise ImproperIdealError("valuation normal must be nonnegative")
-            raise ImproperIdealError(f"normal {normal} is not primitive")
+            raise ImproperIdealError(f"normal {vec_text(normal)} is not primitive")
         ReesValuationSpec.normal.__set__(self, normal)
         e = self.rees_integer
         if e.__class__ is not int or e < 1:
@@ -450,14 +451,31 @@ def integral_closure_power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
     return closure
 
 
+# ideal_power bounds its sums up front; larger powers are refused
+MAX_POWER_SUMS = 1_000_000
+
+
 def ideal_power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
     """The k-th power as an ideal, by repeated multiplication.
 
     I^j = I^(j-1) * I is generated by the sums of one minimal generator
     of I^(j-1) and one of I, so each step reduces those products
-    instead of all C(n+k-1, k) k-fold sums of the n generators.
+    instead of all C(n+k-1, k) k-fold sums of the n generators.  The
+    minimal generators of I^(j-1) are an antichain in [0, k*M]^d, so at
+    most (k*M + 1)^(d-1) of them, and the k - 1 steps take at most
+    (k - 1) * (k*M + 1)^(d-1) * n sums; powers whose bound exceeds
+    MAX_POWER_SUMS are refused before the first step.  In 1D the one
+    generator is scaled, with no step.
     """
     k = read_int(k, 1, "power", NonPositivePowerError)
+    d, n = ideal.dim, len(ideal.generators)
+    if d == 1:
+        return MonomialIdeal(1, ((k * ideal.generators[0][0],),))
+    sums = (k - 1) * (k * ideal.max_coordinate + 1) ** (d - 1) * n
+    if sums > MAX_POWER_SUMS:
+        raise OutputLimitError(
+            f"power takes up to {int_text(sums)} sums, above the limit of {MAX_POWER_SUMS}"
+        )
     power = ideal
     for _ in range(k - 1):
         sums = (

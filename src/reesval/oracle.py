@@ -3,8 +3,13 @@
 It decides whether x^m lies in the closure of the k-th power of a
 monomial ideal touching no facet data at all, independently of
 :func:`reesval.monomial.rees_valuations`: it looks for a convex
-combination of at most d scaled generators below the point.  A pair
-(one weight) is decided by intersecting [0, 1] with one bound per
+combination of at most d scaled generators below the point.  Each
+generator first gets a cover: the nonzero 0/1 weights a with
+a.k*g <= a.m, found by a step compiled once per dimension.  A subset
+is tested only when its covers' union holds every weight, and when the
+union over all generators does not, one weight separates m from the
+scaled generators and the answer is no without any subset test.  A
+pair (one weight) is decided by intersecting [0, 1] with one bound per
 coordinate, and a triple (two weights) by one Fourier-Motzkin step on
 d + 3 rows read off the coordinate tuples, then the same interval pass;
 neither reduces a row by its gcd.  That one pass over the bounds,
@@ -22,7 +27,7 @@ import math
 import operator
 from collections.abc import Iterable, Sequence
 
-from .errors import DimensionMismatchError, NonPositivePowerError, read_int
+from .errors import DimensionMismatchError, NonPositivePowerError, read_int, vec_text
 from .monomial import MonomialIdeal, Vec
 
 
@@ -119,6 +124,55 @@ def _triple_below(p: Vec, r: Vec, q: Vec, m: Vec) -> bool:
     return _interval_feasible(flat)
 
 
+# The cover step of each dimension, compiled on its first use.
+_COVER_STEPS: dict = {}
+_COVER_STEP_SOURCE = """\
+def covers(gens, k, m):
+    {m}, = m
+    pool, union = [], 0
+    for g in gens:
+        {g}, = g
+        {t} = {slack}
+        cover = {cover}
+        if cover == {full}:
+            return None
+        if cover:
+            pool.append((g if k == 1 else ({scaled},), cover))
+            union |= cover
+    return pool if union == {full} else []
+"""
+
+
+def _cover_step(d: int):
+    """The covers of the scaled generators at a point, compiled once per d.
+
+    Its source is written from ``operator.index(d)`` alone: for each
+    generator g, with t = m - k*g, bit i of the cover is set when
+    a_i.t >= 0 for the i-th nonzero 0/1 weight a_i, the d unit weights
+    first, and each a_i.t is spelled out.  The step returns None when a
+    cover is full (k*g <= m), and otherwise the pairs (k*g, cover) of
+    nonzero cover, or no pair when their union is not full.
+    """
+    d = operator.index(d)
+    if d not in _COVER_STEPS:
+        weights = [1 << j for j in range(d)]
+        weights += [a for a in range(1, 1 << d) if a & (a - 1)]
+        sums = [" + ".join(f"t{j}" for j in range(d) if a >> j & 1) for a in weights]
+        namespace: dict = {}
+        exec(_COVER_STEP_SOURCE.format(
+            m=", ".join(f"m{j}" for j in range(d)),
+            g=", ".join(f"g{j}" for j in range(d)),
+            t=", ".join(f"t{j}" for j in range(d)),
+            slack=", ".join(f"m{j} - k * g{j}" for j in range(d)),
+            cover=" | ".join(f"({s} >= 0) << {i}" if i else f"({s} >= 0)"
+                             for i, s in enumerate(sums)),
+            full=(1 << len(weights)) - 1,
+            scaled=", ".join(f"k * g{j}" for j in range(d)),
+        ), namespace)
+        _COVER_STEPS[d] = namespace["covers"]
+    return _COVER_STEPS[d]
+
+
 def oracle_is_integral(ideal: MonomialIdeal, k: int, m: Sequence[int]) -> bool:
     """Decide membership of x^m in the closure of the k-th power, facet-free.
 
@@ -146,15 +200,20 @@ def oracle_is_integral(ideal: MonomialIdeal, k: int, m: Sequence[int]) -> bool:
         combination c <= m gives g the weight w, then w < 1 as g > m,
         and since g > c, removing g and renormalising leaves
         (c - w*g) / (1 - w) < (c - w*c) / (1 - w) = c <= m.
-    (b) A subset is skipped unless, for every coordinate j, some member
-        has g_j <= m_j: a convex combination is at least the least of
-        its members in each coordinate.
+    (b) A subset is skipped unless, for every nonzero 0/1 weight a,
+        some member has a.g <= a.m: a combination c <= m with a >= 0
+        gives a.c <= a.m, and a.c is a convex combination of the
+        members' a.g, so one of them is at most a.m (Farkas: a weight
+        that fails separates m from the subset's hull plus the orthant).
 
-    Each generator keeps the coordinates j with g_j <= m_j as a
-    bitmask, the sum of the bit weights that one builtin pass over the
-    coordinates selects: all of them is dominance, none is pruning (a),
-    and a subset passes (b) when the union of its members' masks is all
-    of them.  The generators are scaled only when k > 1.
+    Each generator keeps its cover, the bitmask of the weights a with
+    a.(m - g) >= 0, the d unit weights as bits 0..d-1: all of them is
+    dominance, no unit bit is pruning (a), and a subset passes (b) when
+    the union of its members' covers is full.  The covers come from the
+    step :func:`_cover_step` compiles for d, one pass over the
+    generators that scales them only when k > 1.  When the union over
+    all generators is not full, no subset passes (b), and the oracle
+    answers False with no pair or triple test: m is not a member.
     """
     k = read_int(k, 1, "power", NonPositivePowerError)
     try:
@@ -163,20 +222,14 @@ def oracle_is_integral(ideal: MonomialIdeal, k: int, m: Sequence[int]) -> bool:
         raise DimensionMismatchError(f"monomial {m!r} has a non-integer exponent") from None
     if len(m) != ideal.dim:
         raise DimensionMismatchError(
-            f"monomial {m} has length {len(m)}, ideal has dimension {ideal.dim}"
+            f"monomial {vec_text(m)} has length {len(m)}, ideal has dimension {ideal.dim}"
         )
     if any(e < 0 for e in m):
-        raise DimensionMismatchError(f"negative exponent in {m}")
-    bits = [1 << j for j in range(ideal.dim)]
-    full = sum(bits)
-    pool = []
-    for g in ideal.generators:
-        kg = g if k == 1 else tuple([k * e for e in g])
-        cover = sum(itertools.compress(bits, map(operator.le, kg, m)))
-        if cover == full:
-            return True
-        if cover:  # pruning (a)
-            pool.append((kg, cover))
+        raise DimensionMismatchError(f"negative exponent in {vec_text(m)}")
+    pool = _cover_step(ideal.dim)(ideal.generators, k, m)
+    if pool is None:
+        return True
+    full = (1 << (1 << ideal.dim) - 1) - 1
     for (p, cp), (q, cq) in itertools.combinations(pool, 2):
         if cp | cq == full and _pair_below(p, q, m):
             return True

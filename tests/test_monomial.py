@@ -1,7 +1,10 @@
 import itertools
 import math
 import operator
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -9,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reesval import monomial
+from reesval import monomial, oracle
 from reesval.errors import (
     DimensionMismatchError,
     EmptyGeneratorsError,
@@ -22,6 +25,7 @@ from reesval.errors import (
 )
 from reesval.monomial import (
     MAX_CLOSURE_COLUMNS,
+    MAX_POWER_SUMS,
     MonomialIdeal,
     _facets_2d,
     _facets_dd,
@@ -851,6 +855,32 @@ class TestOracle:
         assert oracle_is_integral(minimalize({(3, 0, 0), (0, 3, 0), (0, 0, 3)}), 1, (1, 1, 1))
         assert not oracle_is_integral(minimalize({(3, 0, 0), (0, 3, 0), (0, 0, 3)}), 2, (2, 2, 1))
 
+    @pytest.mark.parametrize("gens, k, point", [
+        # the all-ones weight: each of 2*(x^3, y^3, z^3) sums to 6 > 2 + 2 + 1
+        (((3, 0, 0), (0, 3, 0), (0, 0, 3)), 2, (2, 2, 1)),
+        # each of x^2 and y^2 sums to 2 > 1 + 0
+        (((2, 0), (0, 2)), 1, (1, 0)),
+    ])
+    def test_separated_query_tests_no_subset(self, monkeypatch, gens, k, point):
+        # every generator passes some unit weight, so pruning by the unit
+        # weights alone would test pairs, but one 0/1 weight separates
+        def refuse(*args):
+            raise AssertionError("the oracle tested a subset")
+
+        monkeypatch.setattr(oracle, "_pair_below", refuse)
+        monkeypatch.setattr(oracle, "_triple_below", refuse)
+        assert not oracle_is_integral(minimalize(gens), k, point)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        near_boundary(ideals(1, 8, 1)),
+        near_boundary(ideals(2, 8, 7)),
+        near_boundary(ideals(3, 5, 6)),
+    ))
+    def test_matches_unpruned_subsets(self, query):
+        ideal, k, m = query
+        assert oracle_is_integral(ideal, k, m) is unpruned_member(ideal, k, m)
+
     def test_three_generator_witness(self):
         # (1, 1, 1) is the centroid of x^3, y^3, z^3.  No generator lies
         # below it, nor any combination of two: each of the two weights
@@ -871,6 +901,60 @@ class TestOracle:
             for v in rees_valuations(ideal).valuations
         )
         assert oracle_is_integral(ideal, k, m) == in_closure
+
+
+def unpruned_member(ideal, k, m):
+    """Reference membership: every subset of at most d scaled generators,
+    one generator by dominance and each larger subset by the general
+    Fourier-Motzkin solver on its weights, with no pruning."""
+    scaled = [tuple(k * e for e in g) for g in ideal.generators]
+    if any(divides(g, m) for g in scaled):
+        return True
+    return any(
+        _fm_feasible(weight_system(points, m), size - 1)
+        for size in range(2, ideal.dim + 1)
+        for points in itertools.combinations(scaled, size)
+    )
+
+
+class TestCoverStep:
+    @pytest.fixture
+    def compiled(self, monkeypatch):
+        """The source of every cover step compiled from here on, from an empty cache."""
+        sources = []
+
+        def recording_exec(source, namespace):
+            sources.append(source)
+            exec(source, namespace)
+
+        monkeypatch.setattr(oracle, "_COVER_STEPS", {})
+        monkeypatch.setattr(oracle, "exec", recording_exec, raising=False)
+        return sources
+
+    def test_compiled_on_the_first_query_and_once(self, compiled):
+        square = minimalize({(2, 0), (0, 2)})
+        assert oracle_is_integral(square, 1, (1, 1))
+        assert not oracle_is_integral(square, 1, (1, 0))
+        assert len(compiled) == 1 and list(oracle._COVER_STEPS) == [2]
+        cube = minimalize({(3, 0, 0), (0, 3, 0), (0, 0, 3)})
+        assert oracle_is_integral(cube, 1, (1, 1, 1))
+        assert not oracle_is_integral(cube, 2, (2, 2, 1))
+        assert len(compiled) == 2 and list(oracle._COVER_STEPS) == [2, 3]
+        # one bit per nonzero 0/1 weight: 3 in 2D, 7 in 3D
+        assert "<< 2" in compiled[0] and "<< 3" not in compiled[0]
+        assert "<< 6" in compiled[1] and "<< 7" not in compiled[1]
+
+    def test_import_compiles_nothing(self):
+        code = "import reesval.oracle as o; assert o._COVER_STEPS == {}"
+        package_parent = os.path.dirname(os.path.dirname(oracle.__file__))
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env={**os.environ, "PYTHONPATH": package_parent})
+
+    @pytest.mark.parametrize("d", [3.0, "3", "3) or __import__('os') or (", None, Fraction(3)])
+    def test_non_integer_dimension_is_refused_before_compiling(self, compiled, d):
+        with pytest.raises(TypeError):
+            oracle._cover_step(d)
+        assert compiled == [] and oracle._COVER_STEPS == {}
 
 
 BIG = 10**12
@@ -1036,6 +1120,16 @@ class TestIdealPower:
             ideal_power(minimalize({(1, 0), (0, 1)}), 0)
         with pytest.raises(NonPositivePowerError, match="must be an integer"):
             ideal_power(minimalize({(2, 0), (0, 3)}), 2.0)
+
+    @pytest.mark.parametrize("k", [10**9, 10**5000], ids=["1e9", "5001 digits"])
+    def test_refuses_above_the_sum_limit(self, k):
+        start = time.perf_counter()
+        with pytest.raises(OutputLimitError, match=f"above the limit of {MAX_POWER_SUMS}$"):
+            ideal_power(minimalize({(5, 0), (2, 1), (0, 3)}), k)
+        assert time.perf_counter() - start < 1.0
+
+    def test_one_dimensional_power_takes_no_step(self):
+        assert ideal_power(minimalize({(3,)}, 1), 10**9).generators == ((3 * 10**9,),)
 
     def test_many_generators_high_power(self):
         # 16 generators at k = 8: C(23, 8) = 490314 eight-fold sums,
