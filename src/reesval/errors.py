@@ -2,12 +2,13 @@
 
 Two branches matter to callers: ``InputError`` covers bad inputs and
 precondition violations (CLI exit code 2), while ``VerificationError``
-means an internal cross-check failed, i.e. a bug (CLI exit code 3).
+means an independent cross-check failed: a bug, never an expected
+outcome (CLI exit code 3).
 :func:`read_int` reads an integer argument or field against a lower
-bound, raising the ``InputError`` its caller names,
-:func:`int_text` writes an integer into a message and :func:`vec_text`
-a tuple of them, and :func:`lcm_of` takes the lcm of a list of
-integers, such as Rees integers.
+bound, raising the ``InputError`` its caller names; :func:`int_text`,
+:func:`vec_text` and :func:`repr_text` write an int, a tuple of ints
+and any other value into a message, and :func:`lcm_of` takes the lcm
+of a list of integers, such as Rees integers.
 """
 
 import math
@@ -23,7 +24,7 @@ class InputError(CalcError):
 
 
 class VerificationError(CalcError):
-    """An internal consistency check failed; never expected."""
+    """An independent cross-check failed, which only a bug can cause."""
 
 
 class NonPositiveError(InputError):
@@ -74,10 +75,6 @@ class InconsistentSystemError(InputError):
     pass
 
 
-class NonIntegralSetupError(InputError):
-    pass
-
-
 class OutputLimitError(InputError):
     """The answer would exceed a stated size limit."""
 
@@ -104,10 +101,6 @@ class EquivalenceViolation(VerificationError):
     pass
 
 
-class NonUniformError(VerificationError):
-    pass
-
-
 class OracleDisagreement(VerificationError):
     pass
 
@@ -123,7 +116,7 @@ def read_int(value, least: int, what: str, error: type[InputError]) -> int:
         try:
             value = operator.index(value)
         except TypeError:
-            raise error(f"{what} must be an integer, got {value!r}") from None
+            raise error(f"{what} must be an integer, got {repr_text(value)}") from None
     if value < least:
         raise error(f"{what} must be >= {least}, got {int_text(value)}")
     return value
@@ -141,6 +134,15 @@ def int_text(value: int) -> str:
         return str(value)
     except ValueError:
         return f"~{'-' if value < 0 else ''}10^{int(math.log10(abs(value)))}"
+
+
+def repr_text(value) -> str:
+    """``repr(value)``, or ``<Name too long to print>`` when it holds an int
+    too long for ``str``, whose ``repr`` raises ``ValueError`` (see :func:`int_text`)."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to print>"
 
 
 def vec_text(values: tuple[int, ...]) -> str:

@@ -101,11 +101,9 @@ def itoh_structure(rees: ReesData | Sequence[int], k: int) -> ItohReport:
 
 
 class EquivalenceReport(Record):
-    """Four independently computed radicality verdicts; all must agree."""
+    """Three independently computed radicality verdicts; all must agree."""
 
-    __slots__ = (
-        "k", "via_tower", "via_exponent_vector", "via_unextended", "via_divisibility"
-    )
+    __slots__ = ("k", "via_tower", "via_unextended", "via_divisibility")
 
     @property
     def verdict(self) -> bool:
@@ -113,23 +111,17 @@ class EquivalenceReport(Record):
 
     @property
     def agreed(self) -> bool:
-        return (
-            self.via_tower
-            == self.via_exponent_vector
-            == self.via_unextended
-            == self.via_divisibility
-        )
+        return self.via_tower == self.via_unextended == self.via_divisibility
 
 
 def radicality_equivalence(rees: ReesData | Sequence[int], k: int) -> EquivalenceReport:
-    """Check the four equivalent radicality statements against each other.
+    """Check the three equivalent radicality statements against each other.
 
     (1) every tower exponent h_j = e_j/gcd(e_j, k) equals one; (2) the
-    vector of those exponents is fixed by the radical; (3) the same test
-    on the unextended-level vector, recomputed through the value-group
-    oracle rather than gcd; (4) k is a multiple of the Rees integers' lcm.
-    The four booleans are computed independently, from ints, and an
-    ``EquivalenceViolation`` is raised if they ever disagree.
+    same test on the unextended-level vector, recomputed through the
+    value-group oracle rather than gcd; (3) k is a multiple of the Rees
+    integers' lcm.  The three booleans are computed independently, from
+    ints, and an ``EquivalenceViolation`` is raised if they ever disagree.
     """
     global _puiseux
     if _puiseux is None:  # the oracle loads only when this cross-check first runs
@@ -144,17 +136,11 @@ def radicality_equivalence(rees: ReesData | Sequence[int], k: int) -> Equivalenc
         if rest:
             raise EquivalenceViolation(f"non-integral exponent for e={e}, k={k}")
         oracle_exponents.append(h)
-    exponents = tuple(exponents)
-    # routes (1)-(4); every exponent is >= 1, so "each is one" is "the largest is one"
-    result = EquivalenceReport(k, max(exponents) == 1, _radical(exponents) == exponents,
-                               max(oracle_exponents) <= 1, k % rd.lcm == 0)
+    # routes (1)-(3); every exponent is >= 1, so "each is one" is "the largest is one"
+    result = EquivalenceReport(k, max(exponents) == 1, max(oracle_exponents) <= 1,
+                               k % rd.lcm == 0)
     if not result.agreed:
         raise EquivalenceViolation(
             f"radicality statements disagree for rees={rd.entries}, k={k}: {result}"
         )
     return result
-
-
-def _radical(exponents: tuple[int, ...]) -> tuple[int, ...]:
-    """The radical's exponent vector: every positive exponent clamps to one."""
-    return tuple([min(e, 1) for e in exponents])

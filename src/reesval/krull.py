@@ -18,7 +18,6 @@ four standard families are computed exactly:
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 
 from .errors import (
@@ -26,7 +25,6 @@ from .errors import (
     InconsistentSystemError,
     IndexMismatchError,
     NonPositiveError,
-    NonUniformError,
     NotCommonMultipleError,
     NotMultipleError,
     int_text,
@@ -34,7 +32,7 @@ from .errors import (
     read_int,
 )
 from .dvrcalc import _root_invariants
-from .itoh import ReesData, _radical, _read_rees_integers, rees_data
+from .itoh import ReesData, _read_rees_integers, rees_data
 from .record import Record
 
 FAMILY_SPLIT = "S"
@@ -177,9 +175,9 @@ def realizability_gate(
 class RealizationReport(Record):
     """Numeric consequences of realizing a consistent system.
 
-    The extended base ideal has the same exponent at each of the
-    ``maximal_ideal_count`` realized maximal ideals, so it is the
-    ``jacobson_exponent``-th power of the Jacobson radical.
+    The extended base ideal is the ``jacobson_exponent``-th power of the
+    Jacobson radical when its exponents at the ``maximal_ideal_count``
+    realized maximal ideals agree, and ``jacobson_exponent`` is None if not.
     """
 
     __slots__ = (
@@ -193,15 +191,16 @@ class RealizationReport(Record):
     _tuples = ("residue_degrees",)
 
     @property
-    def uniform_rees_integer(self) -> int:
-        """The Rees integer shared by every realized valuation."""
+    def uniform_rees_integer(self) -> int | None:
+        """The Rees integer shared by every realized valuation, or None."""
         return self.jacobson_exponent
 
 
 def realize_plan(system: ConsistentSystem, rees: ReesData | Sequence[int]) -> RealizationReport:
     """Realization numerology for a system built from the given Rees data:
     an entry over Rees integer e_j stands for multiplicity maximal ideals,
-    each of extended ideal exponent e_j * ramification, which must agree."""
+    each of extended ideal exponent e_j * ramification; the report's
+    ``jacobson_exponent`` is None when they differ (EXP2, k no common multiple)."""
     rd = rees_data(rees)
     if not is_consistent(system):
         raise InconsistentSystemError("refusing to realize an inconsistent system")
@@ -214,12 +213,8 @@ def realize_plan(system: ConsistentSystem, rees: ReesData | Sequence[int]) -> Re
         for entry in row:
             exponents.append(e_j * entry.ramification)
             count += entry.multiplicity
-    first = exponents[0]
-    if exponents.count(first) != len(exponents):
-        # int_text: an exponent too long for str would crash the message
-        listed = ", ".join(map(int_text, exponents))
-        raise NonUniformError(f"extended ideal exponents are not uniform: ({listed})")
-    return RealizationReport(system.m, count, first)
+    uniform = exponents.count(exponents[0]) == len(exponents)
+    return RealizationReport(system.m, count, exponents[0] if uniform else None)
 
 
 def common_multiple_realization(rees: ReesData | Sequence[int], e: int) -> RealizationReport:
@@ -316,11 +311,11 @@ def direct_sum_plan(plan: ComponentPlan, e: int) -> DirectSumReport:
 
 
 class FullnessReport(Record):
-    """Checks that the realized Jacobson radical behaves as promised.
+    """The realized Jacobson radical and the three facts it satisfies.
 
     The split-family realization of the base data yields a radical,
     projectively full ideal projectively equivalent to the extended
-    base ideal.
+    base ideal; the three flags state these facts.
     """
 
     __slots__ = (
@@ -333,25 +328,18 @@ class FullnessReport(Record):
 
 
 def projective_fullness_check(rees: ReesData | Sequence[int]) -> FullnessReport:
-    """Realize family S with k = 1 and verify the three radical-ideal claims.
+    """Realize family S with k = 1, with its three radical-ideal facts.
 
     With m0 the lcm of the Rees integers e_j, family S at k = 1 has
     degree m0 and e_j maximal ideals of exponent e_j * (m0/e_j) = m0 per
-    e_j, so the closed form (m0, sum of e_j, m0).  The claims hold by
-    construction: the Jacobson radical (1, ..., 1) is radical and
-    primitive, and the extended ideal (m0, ..., m0) is a multiple of it.
-    Repeating a coordinate changes none of them, so each is decided on
-    one coordinate, by int arithmetic on the exponent vectors.
+    e_j, so the closed form (m0, sum of e_j, m0).  The three facts are
+    structural facts of the split realization, stated, not tested: the
+    Jacobson radical (1, ..., 1) is radical and primitive, and the
+    extended ideal (m0, ..., m0) is its m0-th power.
     """
     rd = rees_data(rees)
     m0 = rd.lcm
-    radical, extended = (1,), (m0,)
-    return FullnessReport(
-        RealizationReport(m0, sum(rd.entries), m0),
-        _radical(radical) == radical,
-        math.gcd(*radical) == 1,
-        all(x * extended[0] == y * radical[0] for x, y in zip(radical, extended)),
-    )
+    return FullnessReport(RealizationReport(m0, sum(rd.entries), m0), True, True, True)
 
 
 def algebraically_closed_warning(system: ConsistentSystem) -> str | None:

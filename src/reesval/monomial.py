@@ -37,6 +37,7 @@ from .errors import (
     ZeroExponentError,
     int_text,
     read_int,
+    repr_text,
     vec_text,
 )
 from .record import Record
@@ -117,7 +118,7 @@ def _read(gens: Sequence[Sequence[int]]) -> tuple[set[int], list[int]]:
             len(g), tuple(map(operator.index, g))
         except TypeError:
             raise ImproperIdealError(
-                f"generator {g!r} is not a sequence of integers"
+                f"generator {repr_text(g)} is not a sequence of integers"
             ) from None
     raise ImproperIdealError("generators must be sequences of integers")
 
@@ -158,7 +159,7 @@ class MonomialIdeal(Record):
             d = operator.index(self.dim)
         except TypeError:
             raise InconsistentDimensionError(
-                f"dimension must be an integer, got {self.dim!r}"
+                f"dimension must be an integer, got {repr_text(self.dim)}"
             ) from None
         if not 1 <= d <= 3:
             raise InconsistentDimensionError(f"dimension must be 1..3, got {int_text(d)}")
@@ -205,7 +206,7 @@ class ReesValuationSpec(Record):
             normal = tuple(map(operator.index, self.normal))
         except TypeError:
             raise ImproperIdealError(
-                f"valuation normal {self.normal!r} is not a sequence of integers"
+                f"valuation normal {repr_text(self.normal)} is not a sequence of integers"
             ) from None
         # a gcd of 1 also rules out the zero normal
         if math.gcd(*normal) != 1 or min(normal) < 0:

@@ -27,7 +27,7 @@ import math
 import operator
 from collections.abc import Iterable, Sequence
 
-from .errors import DimensionMismatchError, NonPositivePowerError, read_int, vec_text
+from .errors import DimensionMismatchError, NonPositivePowerError, read_int, repr_text, vec_text
 from .monomial import MonomialIdeal, Vec
 
 
@@ -219,7 +219,9 @@ def oracle_is_integral(ideal: MonomialIdeal, k: int, m: Sequence[int]) -> bool:
     try:
         m = tuple(map(operator.index, m))
     except TypeError:
-        raise DimensionMismatchError(f"monomial {m!r} has a non-integer exponent") from None
+        raise DimensionMismatchError(
+            f"monomial {repr_text(m)} has a non-integer exponent"
+        ) from None
     if len(m) != ideal.dim:
         raise DimensionMismatchError(
             f"monomial {vec_text(m)} has length {len(m)}, ideal has dimension {ideal.dim}"

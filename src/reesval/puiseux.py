@@ -17,8 +17,9 @@ and k and computed with integers only:
   tau^d = w for the unit w = v/s of s-valuation -1 over the rational
   function residue field kappa(s).  That order is read off the
   continued-fraction convergents of e/k, built with ``divmod`` alone
-  and checked by multiplication.  The degree of X^d - w is certified
-  by a Newton-polygon slope criterion.
+  and checked by multiplication.  X^d - w is irreducible, as its
+  Newton polygon is one segment of slope -1/d, in lowest terms since
+  v(w) = -1, so its degree d is the residue degree.
 
 Neither route calls ``math.gcd``.  :func:`oracle_extension` compares
 the two with the Fundamental Equality.
@@ -26,14 +27,7 @@ the two with the Fundamental Equality.
 
 from __future__ import annotations
 
-import operator
-
-from .errors import (
-    FundamentalEqualityViolation,
-    NonIntegralSetupError,
-    NonPositiveError,
-    read_int,
-)
+from .errors import FundamentalEqualityViolation, NonPositiveError
 from .record import Record
 
 
@@ -76,33 +70,15 @@ def oracle_ramification(model: PuiseuxModel) -> int:
     return _ramification(model.e, model.k)
 
 
-def newton_polygon_irreducible(degree: int, constant_valuation: int) -> bool:
-    """Certify irreducibility of X^d - a by the one-segment slope criterion.
-
-    ``degree`` is d >= 1 and ``constant_valuation`` the integer
-    s-valuation v(a) of the constant term.  The polygon is the single
-    segment from (0, v(a)) to (d, 0); the polynomial is certified
-    irreducible exactly when the slope v(a)/d in lowest terms has
-    denominator d, that is when v(a) and d are coprime.
-    """
-    degree = read_int(degree, 1, "degree", NonPositiveError)
-    try:
-        v = operator.index(constant_valuation)
-    except TypeError:
-        raise NonIntegralSetupError(
-            f"constant term valuation must be an integer, got {constant_valuation!r}"
-        ) from None
-    return _certified_gcd(abs(v), degree) == 1
-
-
 def oracle_residue_degree(model: PuiseuxModel) -> int:
     """Residue degree via the multiplicative order of the residue generator.
 
     The smallest positive a with a*e divisible by k makes
     u^(a/k) * pi^(-a*e/k) a value-zero element tau, and tau^(k/a) equals
     the unit w with residue w = v/s.  The residue extension is generated
-    by a root of X^d - w with d = k/a, irreducible by the Newton
-    polygon since v(w) = -1.
+    by a root of X^d - w with d = k/a, irreducible since v(w) = -1:
+    the Newton polygon is one segment whose slope -1/d has denominator
+    d, so no factor of lower degree exists.
 
     The least a comes from the continued fraction of e/k.  Its last
     convergent p/q equals e/k, and with the previous convergent p'/q'
@@ -123,12 +99,7 @@ def oracle_residue_degree(model: PuiseuxModel) -> int:
         raise FundamentalEqualityViolation(
             f"last convergent {p}/{q} is not e/k = {e}/{k} in lowest terms"
         )
-    d = k // q
-    if not newton_polygon_irreducible(d, -1):
-        raise FundamentalEqualityViolation(
-            f"X^{d} - w unexpectedly fails the irreducibility certificate"
-        )
-    return d
+    return k // q
 
 
 def oracle_extension(model: PuiseuxModel) -> tuple[int, int, int]:

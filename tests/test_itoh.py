@@ -87,23 +87,21 @@ class TestRadicalityEquivalence:
     # Each route is broken in turn so that it calls the radical (2, 3), 6
     # non-radical.  The disagreement must be raised, and only the broken
     # route may change: the oracle shares no code with the gcd helper, and
-    # the tower and exponent-vector routes read the same gcd exponents.
+    # the divisibility test reads neither.
     @pytest.mark.parametrize(
         "target, name, broken, flipped",
         [
-            (itoh, "_root_invariants", lambda e, k: (k, k, 1),
-             ("via_tower", "via_exponent_vector")),
+            (itoh, "_root_invariants", lambda e, k: (k, k, 1), ("via_tower",)),
             (puiseux, "_ramification", lambda e, k: k, ("via_unextended",)),
-            (itoh, "_radical", lambda exponents: exponents + (0,), ("via_exponent_vector",)),
             (ReesData, "lcm", property(lambda self: 5), ("via_divisibility",)),
         ],
-        ids=["gcd-helper", "puiseux-ramification", "exponent-vector", "divisibility"],
+        ids=["gcd-helper", "puiseux-ramification", "divisibility"],
     )
     def test_each_route_is_independent(self, monkeypatch, target, name, broken, flipped):
         monkeypatch.setattr(target, name, broken)
         with pytest.raises(EquivalenceViolation) as info:
             radicality_equivalence((2, 3), 6)
-        routes = ("via_tower", "via_exponent_vector", "via_unextended", "via_divisibility")
+        routes = ("via_tower", "via_unextended", "via_divisibility")
         verdicts = ", ".join(f"{r}={r not in flipped}" for r in routes)
         assert str(info.value).endswith(f"EquivalenceReport(k=6, {verdicts})")
 
@@ -114,8 +112,7 @@ class TestRadicalityEquivalence:
         with pytest.raises(EquivalenceViolation) as info:
             radicality_equivalence((2, 3), 6)
         assert str(info.value).endswith(
-            "EquivalenceReport(k=6, via_tower=True, via_exponent_vector=True, "
-            "via_unextended=False, via_divisibility=True)"
+            "EquivalenceReport(k=6, via_tower=True, via_unextended=False, via_divisibility=True)"
         )
 
 
@@ -137,24 +134,10 @@ def test_each_input_is_read_once(monkeypatch, call, inputs):
         reads.append(value)
         return errors.read_int(value, *args)
 
-    for module in (dvrcalc, itoh, krull, puiseux):
+    for module in (dvrcalc, itoh, krull):
         monkeypatch.setattr(module, "read_int", counting)
     call(*inputs)
     assert sorted(reads) == [*inputs[0], *inputs[1:]]
-
-
-class TestSemilocalArithmetic:
-    """The radical of an exponent vector clamps every positive exponent to one."""
-
-    def test_radical_examples(self):
-        assert itoh._radical((3, 1)) == (1, 1)
-        assert itoh._radical((1, 1)) == (1, 1)
-        assert itoh._radical((0, 2)) == (0, 1)
-
-    @given(st.lists(st.integers(0, 9), min_size=1, max_size=5))
-    def test_radical_idempotent(self, xs):
-        radical = itoh._radical(tuple(xs))
-        assert itoh._radical(radical) == radical
 
 
 def test_rees_data_validation():

@@ -11,7 +11,6 @@ from reesval.errors import (
     BadKError,
     InconsistentSystemError,
     NonPositiveError,
-    NonUniformError,
     NotCommonMultipleError,
     NotMultipleError,
     lcm_of,
@@ -228,12 +227,12 @@ class TestRealizePlan:
                 assert inert.uniform_rees_integer == rd.lcm
 
     def test_non_uniform_rejected(self):
-        with pytest.raises(
-            NonUniformError, match=r"^extended ideal exponents are not uniform: \(4, 12\)$"
-        ):
-            realize_plan(build_root_adjunction_system((2, 3), 4), (2, 3))
+        # exponents (4, 12): no power of the Jacobson radical, and no error
+        plan = realize_plan(build_root_adjunction_system((2, 3), 4), (2, 3))
+        assert plan == RealizationReport(4, 2, None)
+        assert plan.uniform_rees_integer is None
 
-    def test_non_uniform_message_lists_one_exponent_per_entry(self):
+    def test_non_uniform_counts_one_ideal_per_multiplicity(self):
         # Rees data (1, 2), degree 4: two ideals of ramification 2 over the
         # first valuation (exponent 1 * 2) in one entry, one of ramification
         # 4 over the second (exponent 2 * 4).
@@ -242,11 +241,9 @@ class TestRealizePlan:
             per_valuation=((SystemEntry(1, 2, multiplicity=2),), (SystemEntry(1, 4),)),
             family="manual",
         )
-        with pytest.raises(NonUniformError) as info:
-            realize_plan(system, (1, 2))
-        assert str(info.value) == "extended ideal exponents are not uniform: (2, 8)"
+        assert realize_plan(system, (1, 2)) == RealizationReport(4, 3, None)
 
-    def test_non_uniform_with_huge_multiplicity_raises_at_once(self):
+    def test_non_uniform_with_huge_multiplicity_answers_at_once(self):
         big = 10**12
         system = ConsistentSystem(
             m=big,
@@ -254,19 +251,16 @@ class TestRealizePlan:
             family="manual",
         )
         start = time.perf_counter()
-        with pytest.raises(NonUniformError) as info:
-            realize_plan(system, (1, 2))
+        plan = realize_plan(system, (1, 2))
         assert time.perf_counter() - start < 1.0
-        assert str(info.value) == f"extended ideal exponents are not uniform: (1, {2 * big})"
+        assert plan == RealizationReport(big, big + 1, None)
 
-    def test_non_uniform_exponents_too_long_to_print_are_written_by_size(self):
+    def test_non_uniform_exponents_too_long_to_print_are_reported(self):
         # P * k and Q * k have 6001 digits, more than str prints
         rees, k = (10**2000 + 1, 10**2000 + 3), 10**4000
-        with pytest.raises(NonUniformError) as info:
-            realize_plan(build_root_adjunction_system(rees, k), rees)
-        assert str(info.value) == (
-            "extended ideal exponents are not uniform: (~10^6000, ~10^6000)"
-        )
+        plan = realize_plan(build_root_adjunction_system(rees, k), rees)
+        assert plan.jacobson_exponent is None
+        assert plan.maximal_ideal_count == 2
 
     def test_root_adjunction_at_common_multiple(self):
         plan = realize_plan(build_root_adjunction_system((2, 3), 6), (2, 3))

@@ -4,37 +4,18 @@ import time
 from fractions import Fraction
 
 import pytest
-import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
 from reesval.cli import main
 from reesval.dvrcalc import general_k_extension
-from reesval.errors import NonIntegralSetupError, NonPositiveError
+from reesval.errors import NonPositiveError
 from reesval.puiseux import (
     PuiseuxModel,
-    newton_polygon_irreducible,
     oracle_extension,
     oracle_ramification,
     oracle_residue_degree,
 )
-
-_S, _X = sympy.symbols("s X")
-
-
-def sympy_irreducible(d: int, n: int) -> bool:
-    """Independent factorization oracle for X^d - 1/s^n over Q(s).
-
-    Clearing denominators, the question is whether s^n * X^d - 1 is
-    irreducible in Q[s, X]; sympy factors it exactly.
-    """
-    factors = sympy.factor_list((_S**n) * (_X**d) - 1, _S, _X)[1]
-    nontrivial = [(f, mult) for f, mult in factors if sympy.degree(f, _X) > 0]
-    return (
-        len(nontrivial) == 1
-        and nontrivial[0][1] == 1
-        and sympy.degree(nontrivial[0][0], _X) == d
-    )
 
 
 class TestRamification:
@@ -110,41 +91,6 @@ def test_large_bit_length_agrees_with_gcd_calculus(k):
             step.degree,
         )
     assert time.perf_counter() - start < 1.0
-
-
-class TestNewtonPolygon:
-    def test_degree_three(self):
-        assert newton_polygon_irreducible(3, -1)
-        assert sympy_irreducible(3, 1)
-
-    def test_linear(self):
-        assert newton_polygon_irreducible(1, -1)
-
-    def test_degree_four_even_valuation(self):
-        assert not newton_polygon_irreducible(4, -2)
-        assert not sympy_irreducible(4, 2)
-
-    def test_slope_minus_one_over_d(self):
-        for d in range(1, 21):
-            assert newton_polygon_irreducible(d, -1)
-
-    @pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (3, 2), (3, 3), (4, 1), (4, 3), (5, 5), (6, 4)])
-    def test_matches_factorization_oracle(self, d, n):
-        criterion = newton_polygon_irreducible(d, -n)
-        assert criterion == sympy_irreducible(d, n)
-
-    @given(st.integers(1, 200), st.integers(-200, 200))
-    def test_matches_slope_in_lowest_terms(self, d, v):
-        assert newton_polygon_irreducible(d, v) == (Fraction(v, d).denominator == d)
-
-    def test_rejects_fractional_valuation(self):
-        with pytest.raises(NonIntegralSetupError):
-            newton_polygon_irreducible(2, Fraction(1, 2))
-
-    @pytest.mark.parametrize("degree", [0, -1])
-    def test_rejects_nonpositive_degree(self, degree):
-        with pytest.raises(NonPositiveError, match="degree must be >= 1"):
-            newton_polygon_irreducible(degree, -1)
 
 
 class TestOracleExtension:

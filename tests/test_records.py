@@ -25,7 +25,6 @@ from reesval.errors import (
     InconsistentDimensionError,
     IndexMismatchError,
     InputError,
-    NonIntegralSetupError,
     NonPositiveError,
     ZeroExponentError,
 )
@@ -51,7 +50,7 @@ SAMPLES = {
     itoh.ReesData: ((2, 3),),
     itoh.ItohValuationRecord: (2, 2, 3, 1),
     itoh.ItohReport: (6, (VALUATION,), True, 6),
-    itoh.EquivalenceReport: (6, True, True, True, True),
+    itoh.EquivalenceReport: (6, True, True, True),
     krull.SystemEntry: (1, 3, 2),
     krull.ConsistentSystem: (6, ((ENTRY,),), "S"),
     krull.GateDecision: (True, 1),
@@ -340,12 +339,6 @@ def test_unequal_values_differ():
             "duplicate valuation normals",
             id="ReesPackage-duplicate-normals-apart",
         ),
-        pytest.param(
-            lambda: puiseux.newton_polygon_irreducible(2, Fraction(-2, 1)),
-            NonIntegralSetupError,
-            "constant term valuation must be an integer, got Fraction(-2, 1)",
-            id="newton_polygon_irreducible-fraction-valuation",
-        ),
     ]
     + [
         # each integer input of the tower layer refuses a float, a Fraction
@@ -369,8 +362,6 @@ def test_unequal_values_differ():
                 NonPositiveError,
                 "e",
             ),
-            ("newton_polygon_irreducible", lambda x: puiseux.newton_polygon_irreducible(x, -1),
-             NonPositiveError, "degree"),
             ("ReesData", lambda x: itoh.ReesData((x, 3)), NonPositiveError, "Rees integer"),
             ("itoh_structure", lambda x: itoh.itoh_structure((2, 3), x), BadKError,
              "root order"),
