@@ -200,6 +200,12 @@ def parse_args(argv: Sequence[str] | None = None) -> Namespace:
             try:
                 fields[option] = True if kind is bool else kind(value)
             except ValueError:
+                # int() refuses more digits than the interpreter's limit, which stays:
+                # reading decimal text is quadratic in its length
+                limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+                if limit and sum(map(str.isdecimal, value)) > limit:
+                    raise refuse(f"{option}: int value of {len(value)} characters "
+                                 f"exceeds the {limit}-digit limit") from None
                 raise refuse(f"{option}: invalid int value {value!r}") from None
     missing = [o for o, spec in options.items() if spec[1] and o not in fields]
     if missing:

@@ -9,13 +9,12 @@ a.k*g <= a.m, found by a step compiled once per dimension.  A subset
 is tested only when its covers' union holds every weight, and when the
 union over all generators does not, one weight separates m from the
 scaled generators and the answer is no without any subset test.  A
-pair (one weight) is decided by intersecting [0, 1] with one bound per
-coordinate, and a triple (two weights) by one Fourier-Motzkin step on
-d + 3 rows read off the coordinate tuples, then the same interval pass;
-neither reduces a row by its gcd.  That one pass over the bounds,
-compared by cross-multiplication, is a single helper that the general
-Fourier-Motzkin solver also ends with; the solver is the exact
-reference the direct routes are tested against.
+pair (one weight) and a triple (two weights) are decided by tests
+compiled once per dimension, each coordinate's bound spelled out: a
+pair narrows [0, 1], and a triple takes one Fourier-Motzkin step on
+d + 3 rows; neither reduces a row by its gcd.  The general
+Fourier-Motzkin solver shares no code with them and is the exact
+reference they are tested against.
 
 All arithmetic is exact: integers only.
 """
@@ -28,30 +27,7 @@ import operator
 from collections.abc import Iterable, Sequence
 
 from .errors import DimensionMismatchError, NonPositivePowerError, read_int, repr_text, vec_text
-from .monomial import MonomialIdeal, Vec
-
-
-def _interval_feasible(rows: Iterable[tuple[int, int]]) -> bool:
-    """Whether some rational x has c*x <= b for every row (c, b).
-
-    One pass over the bounds, with no combination of rows: a row bounds
-    x above by b/c when c > 0 and below by b/c when c < 0, and a row
-    0 <= b with b < 0 is a contradiction.  Bounds are num/den with
-    den >= 0 and are compared by integer cross-multiplication, so no row
-    needs reducing; den = 0 stands for the infinite bound (-1/0 below,
-    1/0 above) that every finite one beats.
-    """
-    low, low_den, high, high_den = -1, 0, 1, 0
-    for c, b in rows:
-        if c > 0:
-            if b * high_den < high * c:  # b/c < high/high_den
-                high, high_den = b, c
-        elif c < 0:
-            if b * low_den < low * c:  # b/c > low/low_den, as c < 0
-                low, low_den = -b, -c
-        elif b < 0:
-            return False
-    return low * high_den <= high * low_den
+from .monomial import MonomialIdeal
 
 
 def _fm_feasible(constraints: Iterable[tuple[Sequence[int], int]], nvars: int) -> bool:
@@ -61,9 +37,10 @@ def _fm_feasible(constraints: Iterable[tuple[Sequence[int], int]], nvars: int) -
     Integer Programming*, 12.2), exact for any input.  Every row is
     divided by the gcd of its entries.  Variables nvars - 1 down to 1 are
     eliminated pairwise: each row with a positive coefficient is combined
-    with each row with a negative one.  The last variable x0 is then
-    settled by :func:`_interval_feasible`, which the oracle's pairs and
-    triples share.
+    with each row with a negative one.  One pass then settles x0: a row
+    bounds it above by b/c when c > 0 and below when c < 0, 0 <= b < 0
+    is a contradiction, and bounds num/den (den = 0 infinite) are compared
+    by cross-multiplication.  The oracle's subset tests share no code.
     """
     rows = []
     for coeffs, rhs in constraints:
@@ -87,41 +64,17 @@ def _fm_feasible(constraints: Iterable[tuple[Sequence[int], int]], nvars: int) -
                 g = math.gcd(*coeffs, rhs)
                 rest.append(([c // g for c in coeffs], rhs // g) if g > 1 else (coeffs, rhs))
         rows = rest
-    return _interval_feasible([(coeffs[0], rhs) for coeffs, rhs in rows])
-
-
-def _pair_below(p: Vec, q: Vec, m: Vec) -> bool:
-    """Whether w*p + (1 - w)*q <= m for some weight w in [0, 1].
-
-    The rows -w <= 0 and w <= 1, then w*(p - q)[j] <= (m - q)[j] for
-    each coordinate j: one bound on w each, settled by
-    :func:`_interval_feasible`.
-    """
-    return _interval_feasible(itertools.chain(
-        ((-1, 0), (1, 1)), zip(map(operator.sub, p, q), map(operator.sub, m, q))
-    ))
-
-
-def _triple_below(p: Vec, r: Vec, q: Vec, m: Vec) -> bool:
-    """Whether u*p + w*r + (1 - u - w)*q <= m for some weights u, w >= 0, u + w <= 1.
-
-    The system has d + 3 rows (a, b, c) for a*u + b*w <= c: one per
-    coordinate j, ((p - q)[j], (r - q)[j], (m - q)[j]), then u + w <= 1,
-    -u <= 0 and -w <= 0.  One Fourier-Motzkin step eliminates w: each
-    row with b > 0 is combined with each row with b < 0, and the rows
-    with b = 0 are kept.  :func:`_interval_feasible` settles u on the
-    result.  Positive scaling keeps every bound, so no row is reduced.
-    """
-    sub = operator.sub
-    rows = [
-        *zip(map(sub, p, q), map(sub, r, q), map(sub, m, q)),
-        (1, 1, 1), (-1, 0, 0), (0, -1, 0),
-    ]
-    pos = [row for row in rows if row[1] > 0]
-    neg = [(a, -b, c) for a, b, c in rows if b < 0]
-    flat = [(a, c) for a, b, c in rows if not b]
-    flat += [(a * nb + na * b, c * nb + nc * b) for a, b, c in pos for na, nb, nc in neg]
-    return _interval_feasible(flat)
+    low, low_den, high, high_den = -1, 0, 1, 0
+    for (c, *_), b in rows:
+        if c > 0:
+            if b * high_den < high * c:  # b/c < high/high_den
+                high, high_den = b, c
+        elif c < 0:
+            if b * low_den < low * c:  # b/c > low/low_den, as c < 0
+                low, low_den = -b, -c
+        elif b < 0:
+            return False
+    return low * high_den <= high * low_den
 
 
 # The cover step of each dimension, compiled on its first use.
@@ -173,6 +126,67 @@ def _cover_step(d: int):
     return _COVER_STEPS[d]
 
 
+# The subset tests of each dimension, compiled on their first use.  _BOUND
+# adds c*x <= b to x's interval [low/low_den, high/high_den] (den 0: none);
+# it goes after an indent of four, or after "el" to continue an elif chain.
+_SUBSET_STEPS: dict = {}
+_BOUND = """if c > 0:
+        if b * high_den < high * c:
+            high, high_den = b, c
+    elif c < 0:
+        if b * low_den < low * c:
+            low, low_den = -b, -c
+    elif b < 0:
+        return False"""
+_SUBSET_STEP_SOURCE = """\
+def pair(p, q, m):
+    ({p},), ({q},), ({m},) = p, q, m
+    low, low_den, high, high_den = 0, 1, 1, 1{pair_rows}
+    return low * high_den <= high * low_den
+def triple(p, r, q, m):
+    ({p},), ({r},), ({q},), ({m},) = p, r, q, m
+    low, low_den, high, high_den = 0, 1, 1, 0
+    pos, neg = [(1, 1, 1)], [(0, 1, 0)]{triple_rows}
+    for c1, e1, b1 in pos:
+        for c2, e2, b2 in neg:
+            c, b = c1 * e2 + c2 * e1, b1 * e2 + b2 * e1
+            {combined}
+    return low * high_den <= high * low_den
+"""
+_TRIPLE_ROW = """
+    c, e, b = p{j} - q{j}, r{j} - q{j}, m{j} - q{j}
+    if e > 0:
+        pos.append((c, e, b))
+    elif e < 0:
+        neg.append((c, -e, b))
+    el"""
+
+
+def _subset_steps(d: int):
+    """The pair and triple tests at a point m, compiled once per d.
+
+    Their source is written from ``operator.index(d)`` alone, each
+    coordinate j spelled out.  ``pair(p, q, m)``: is w*p + (1 - w)*q <= m
+    for a w in [0, 1]?  Each w*c <= b, c, b = p_j - q_j, m_j - q_j, narrows
+    [0, 1].  ``triple(p, r, q, m)``: is u*p + w*r + (1 - u - w)*q <= m for
+    u, w >= 0, u + w <= 1?  Its d + 3 rows c*u + e*w <= b are split by the
+    sign of e as read, and one Fourier-Motzkin step combines each with
+    e > 0 with each with e < 0; positive scaling keeps every bound.
+    """
+    d = operator.index(d)
+    if d not in _SUBSET_STEPS:
+        namespace: dict = {}
+        exec(_SUBSET_STEP_SOURCE.format(
+            **{v: ", ".join(f"{v}{j}" for j in range(d)) for v in "pqrm"},
+            pair_rows="".join(f"\n    c, b = p{j} - q{j}, m{j} - q{j}\n    {_BOUND}"
+                              for j in range(d)),
+            triple_rows="".join(_TRIPLE_ROW.format(j=j) + _BOUND for j in range(d)),
+            combined=_BOUND.replace("\n", "\n        "),
+        ), namespace)
+        _SUBSET_STEPS[d] = namespace["pair"], namespace["triple"]
+    return _SUBSET_STEPS[d]
+
+
 def oracle_is_integral(ideal: MonomialIdeal, k: int, m: Sequence[int]) -> bool:
     """Decide membership of x^m in the closure of the k-th power, facet-free.
 
@@ -180,9 +194,9 @@ def oracle_is_integral(ideal: MonomialIdeal, k: int, m: Sequence[int]) -> bool:
     generators.  A point c of conv(kG) with c <= m is searched among the
     convex combinations of at most d of the scaled generators, each
     subset decided as exact rational feasibility in at most d - 1
-    weights, independently of :func:`rees_valuations`: a pair by
-    :func:`_pair_below` and a triple by :func:`_triple_below`.  As
-    d <= 3, no larger subset occurs.
+    weights, independently of :func:`rees_valuations`, by the pair and
+    triple tests :func:`_subset_steps` compiles for d on the first query
+    that reaches a subset.  As d <= 3, no larger subset occurs.
 
     At most d generators are needed (Caratheodory).  If m lies in the
     polyhedron P, move it along -(1, ..., 1) to the last point p still
@@ -226,17 +240,18 @@ def oracle_is_integral(ideal: MonomialIdeal, k: int, m: Sequence[int]) -> bool:
         raise DimensionMismatchError(
             f"monomial {vec_text(m)} has length {len(m)}, ideal has dimension {ideal.dim}"
         )
-    if any(e < 0 for e in m):
+    if min(m) < 0:
         raise DimensionMismatchError(f"negative exponent in {vec_text(m)}")
     pool = _cover_step(ideal.dim)(ideal.generators, k, m)
-    if pool is None:
-        return True
+    if not pool:
+        return pool is None
+    pair, triple = _subset_steps(ideal.dim)
     full = (1 << (1 << ideal.dim) - 1) - 1
     for (p, cp), (q, cq) in itertools.combinations(pool, 2):
-        if cp | cq == full and _pair_below(p, q, m):
+        if cp | cq == full and pair(p, q, m):
             return True
     if ideal.dim > 2:
         for (p, cp), (r, cr), (q, cq) in itertools.combinations(pool, 3):
-            if cp | cr | cq == full and _triple_below(p, r, q, m):
+            if cp | cr | cq == full and triple(p, r, q, m):
                 return True
     return False

@@ -11,6 +11,7 @@ are pinned by name below instead of being drawn.
 import argparse
 import contextlib
 import io
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -319,3 +320,34 @@ def test_departures_from_argparse(argv, refused):
             reader_fields(argv)
     else:
         assert reader_fields(argv)["rees"] == argv[2]
+
+
+# int() refuses a decimal text of more digits than the interpreter's limit
+# (4300 by default), whatever its form; the refusal states the argument's
+# length and the limit, not the argument, and every other invalid int
+# value is refused as argparse refuses it.
+@pytest.mark.parametrize("form", ["plain", "signed and spaced", "trailing text", "underscores"])
+def test_int_value_over_the_digit_limit_is_refused_by_its_length(form):
+    digits = "1" + "0" * sys.get_int_max_str_digits()
+    value = {
+        "plain": digits,
+        "signed and spaced": f" -{digits} ",
+        "trailing text": digits + "x",
+        "underscores": "_".join(digits),
+    }[form]
+    code, out, err = run_main(["tower", "--e", "4", "--k", value])
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: --k: int value of {len(value)} characters exceeds the "
+        f"{sys.get_int_max_str_digits()}-digit limit\n"
+        "usage: reesval tower [-h] [--json] --e E --k K [--oracle]\n"
+    )
+
+
+def test_int_value_under_the_digit_limit_is_read_or_refused_as_before():
+    # as many characters as the refused values, but few enough digits
+    under = "_".join("1" * (sys.get_int_max_str_digits() // 2 + 1))
+    assert reader_fields(["tower", "--e", "4", "--k", under])["k"] == int(under)
+    code, out, err = run_main(["tower", "--e", "4", "--k", "abc"])
+    assert (code, out) == (2, "")
+    assert err == "error: --k: invalid int value 'abc'\nusage: reesval tower [-h] [--json] --e E --k K [--oracle]\n"

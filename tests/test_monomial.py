@@ -36,7 +36,7 @@ from reesval.monomial import (
     parse_ideal,
     rees_valuations,
 )
-from reesval.oracle import _fm_feasible, _pair_below, _triple_below, oracle_is_integral
+from reesval.oracle import _fm_feasible, oracle_is_integral
 
 
 def normals_and_integers(package):
@@ -855,21 +855,40 @@ class TestOracle:
         assert oracle_is_integral(minimalize({(3, 0, 0), (0, 3, 0), (0, 0, 3)}), 1, (1, 1, 1))
         assert not oracle_is_integral(minimalize({(3, 0, 0), (0, 3, 0), (0, 0, 3)}), 2, (2, 2, 1))
 
+    @pytest.fixture
+    def refusing_subset_tests(self, monkeypatch):
+        """Compiled pair and triple tests in 2D and 3D that raise when called."""
+        def refusing(route):
+            def refuse(*args):
+                raise AssertionError(f"the oracle tested a {route}")
+            return refuse
+
+        steps = {d: (refusing("pair"), refusing("triple")) for d in (2, 3)}
+        monkeypatch.setattr(oracle, "_SUBSET_STEPS", steps)
+
     @pytest.mark.parametrize("gens, k, point", [
         # the all-ones weight: each of 2*(x^3, y^3, z^3) sums to 6 > 2 + 2 + 1
         (((3, 0, 0), (0, 3, 0), (0, 0, 3)), 2, (2, 2, 1)),
         # each of x^2 and y^2 sums to 2 > 1 + 0
         (((2, 0), (0, 2)), 1, (1, 0)),
     ])
-    def test_separated_query_tests_no_subset(self, monkeypatch, gens, k, point):
+    def test_separated_query_tests_no_subset(self, refusing_subset_tests, gens, k, point):
         # every generator passes some unit weight, so pruning by the unit
         # weights alone would test pairs, but one 0/1 weight separates
-        def refuse(*args):
-            raise AssertionError("the oracle tested a subset")
-
-        monkeypatch.setattr(oracle, "_pair_below", refuse)
-        monkeypatch.setattr(oracle, "_triple_below", refuse)
         assert not oracle_is_integral(minimalize(gens), k, point)
+
+    @pytest.mark.parametrize("gens, point, route", [
+        # (1, 1) is the midpoint of x^2 and y^2
+        (((2, 0), (0, 2)), (1, 1), "pair"),
+        # (1, 1, 1) is the centroid of x^3, y^3, z^3, and every pair misses
+        # the weight (1, 1, 0), (1, 0, 1) or (0, 1, 1)
+        (((3, 0, 0), (0, 3, 0), (0, 0, 3)), (1, 1, 1), "triple"),
+    ])
+    def test_refusing_subset_tests_intercept(self, refusing_subset_tests, gens, point, route):
+        # the patch that the separated queries pass reaches the routes
+        # the oracle calls
+        with pytest.raises(AssertionError, match=f"the oracle tested a {route}$"):
+            oracle_is_integral(minimalize(gens), 1, point)
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(
@@ -917,19 +936,27 @@ def unpruned_member(ideal, k, m):
     )
 
 
+@pytest.fixture
+def compiled_sources(monkeypatch):
+    """The source of every oracle step compiled from here on, from empty caches,
+    by the first function it defines: "covers", or "pair" for the subset tests."""
+    sources = {"covers": [], "pair": []}
+
+    def recording_exec(source, namespace):
+        sources[source[len("def "):source.index("(")]].append(source)
+        exec(source, namespace)
+
+    monkeypatch.setattr(oracle, "_COVER_STEPS", {})
+    monkeypatch.setattr(oracle, "_SUBSET_STEPS", {})
+    monkeypatch.setattr(oracle, "exec", recording_exec, raising=False)
+    return sources
+
+
 class TestCoverStep:
     @pytest.fixture
-    def compiled(self, monkeypatch):
-        """The source of every cover step compiled from here on, from an empty cache."""
-        sources = []
-
-        def recording_exec(source, namespace):
-            sources.append(source)
-            exec(source, namespace)
-
-        monkeypatch.setattr(oracle, "_COVER_STEPS", {})
-        monkeypatch.setattr(oracle, "exec", recording_exec, raising=False)
-        return sources
+    def compiled(self, compiled_sources):
+        """The source of every cover step compiled from here on."""
+        return compiled_sources["covers"]
 
     def test_compiled_on_the_first_query_and_once(self, compiled):
         square = minimalize({(2, 0), (0, 2)})
@@ -955,6 +982,44 @@ class TestCoverStep:
         with pytest.raises(TypeError):
             oracle._cover_step(d)
         assert compiled == [] and oracle._COVER_STEPS == {}
+
+
+class TestSubsetSteps:
+    @pytest.fixture
+    def compiled(self, compiled_sources):
+        """The source of every pair and triple test compiled from here on."""
+        return compiled_sources["pair"]
+
+    def test_compiled_on_the_first_query_that_reaches_a_subset_and_once(self, compiled):
+        square = minimalize({(2, 0), (0, 2)})
+        cube = minimalize({(3, 0, 0), (0, 3, 0), (0, 0, 3)})
+        # dominance and a separating 0/1 weight decide with no subset
+        assert oracle_is_integral(square, 1, (2, 1))
+        assert not oracle_is_integral(square, 1, (1, 0))
+        assert not oracle_is_integral(cube, 2, (2, 2, 1))
+        assert compiled == [] and oracle._SUBSET_STEPS == {}
+        assert oracle_is_integral(square, 1, (1, 1))
+        assert not oracle_is_integral(minimalize({(2, 0), (0, 3)}), 1, (1, 1))
+        assert len(compiled) == 1 and list(oracle._SUBSET_STEPS) == [2]
+        assert oracle_is_integral(cube, 1, (1, 1, 1))
+        assert not oracle_is_integral(cube, 1, (1, 1, 0))
+        assert len(compiled) == 2 and list(oracle._SUBSET_STEPS) == [2, 3]
+        # one bound spelled out per coordinate, and no division anywhere
+        assert "m1 - q1" in compiled[0] and "m2" not in compiled[0]
+        assert "m2 - q2" in compiled[1] and "m3" not in compiled[1]
+        assert not any("/" in source or "gcd" in source for source in compiled)
+
+    def test_import_compiles_nothing(self):
+        code = "import reesval.oracle as o; assert o._SUBSET_STEPS == {}"
+        package_parent = os.path.dirname(os.path.dirname(oracle.__file__))
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env={**os.environ, "PYTHONPATH": package_parent})
+
+    @pytest.mark.parametrize("d", [3.0, "3", "3) or __import__('os') or (", None, Fraction(3)])
+    def test_non_integer_dimension_is_refused_before_compiling(self, compiled_sources, d):
+        with pytest.raises(TypeError):
+            oracle._subset_steps(d)
+        assert compiled_sources == {"covers": [], "pair": []} and oracle._SUBSET_STEPS == {}
 
 
 BIG = 10**12
@@ -1077,7 +1142,7 @@ class TestDirectRoutes:
     def test_pairs_and_triples_match_the_general_solver(self, case):
         points, m = case
         rows, r = weight_system(points, m), len(points) - 1
-        direct = _pair_below if r == 1 else _triple_below
+        direct = oracle._subset_steps(len(m))[r - 1]
         assert direct(*points, m) is _fm_feasible(rows, r) is vertex_feasible(rows, r)
 
 
