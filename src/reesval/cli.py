@@ -13,7 +13,14 @@ from __future__ import annotations
 import sys
 from collections.abc import Sequence
 
-from .errors import ArgvError, InputError, OutputLimitError, VerificationError, int_text
+from .errors import (
+    ArgvError,
+    InputError,
+    OutputLimitError,
+    VerificationError,
+    digits_refusal,
+    int_text,
+)
 
 Namespace = type(sys.implementation)  # types.SimpleNamespace, without importing types
 
@@ -200,13 +207,8 @@ def parse_args(argv: Sequence[str] | None = None) -> Namespace:
             try:
                 fields[option] = True if kind is bool else kind(value)
             except ValueError:
-                # int() refuses more digits than the interpreter's limit, which stays:
-                # reading decimal text is quadratic in its length
-                limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-                if limit and sum(map(str.isdecimal, value)) > limit:
-                    raise refuse(f"{option}: int value of {len(value)} characters "
-                                 f"exceeds the {limit}-digit limit") from None
-                raise refuse(f"{option}: invalid int value {value!r}") from None
+                why = digits_refusal(value, option) or f"{option}: invalid int value {value!r}"
+                raise refuse(why) from None
     missing = [o for o, spec in options.items() if spec[1] and o not in fields]
     if missing:
         raise refuse(f"missing {', '.join(missing)}")

@@ -7,12 +7,14 @@ outcome (CLI exit code 3).
 :func:`read_int` reads an integer argument or field against a lower
 bound, raising the ``InputError`` its caller names; :func:`int_text`,
 :func:`vec_text` and :func:`repr_text` write an int, a tuple of ints
-and any other value into a message, and :func:`lcm_of` takes the lcm
-of a list of integers, such as Rees integers.
+and any other value into a message, :func:`digits_refusal` says why
+``int`` refused a text too long to read, and :func:`lcm_of` takes the
+lcm of a list of integers, such as Rees integers.
 """
 
 import math
 import operator
+import sys
 
 
 class CalcError(Exception):
@@ -134,6 +136,19 @@ def int_text(value: int) -> str:
         return str(value)
     except ValueError:
         return f"~{'-' if value < 0 else ''}10^{int(math.log10(abs(value)))}"
+
+
+def digits_refusal(text: str, what: str) -> str | None:
+    """Why ``int`` refused ``text`` if it holds more decimal digits than
+    ``sys.get_int_max_str_digits()``: ``what`` and its length, not its
+    content; otherwise None.
+
+    The limit stays, as reading decimal text is quadratic in its length.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and sum(map(str.isdecimal, text)) > limit:
+        return f"{what}: int value of {len(text)} characters exceeds the {limit}-digit limit"
+    return None
 
 
 def repr_text(value) -> str:

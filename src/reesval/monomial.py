@@ -35,6 +35,7 @@ from .errors import (
     ParseError,
     VerificationError,
     ZeroExponentError,
+    digits_refusal,
     int_text,
     read_int,
     repr_text,
@@ -379,7 +380,7 @@ def rees_valuations(ideal: MonomialIdeal) -> ReesPackage:
     return ReesPackage(ideal, tuple(specs))
 
 
-# the closure walks (k*M + 1)^(d - 1) columns; larger powers are refused
+# larger boxes of (k*M + 1)^(d - 1) columns are refused; the walk computes fewer
 MAX_CLOSURE_COLUMNS = 100_000
 
 
@@ -401,12 +402,16 @@ def integral_closure_power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
     are at most k*M, so m_i > k*M leaves m - e_i a member too, and
     z(p) <= k*M unless p is ruled out, which k*M + 1 then stands for.
     The walk takes one line of columns (q, t), q in [0, k*M]^(d-2), at
-    a time, up to the first zero of a lower line q - e_i (kept for the
-    next line): membership is upward closed, so z(q, t) <= z(q - e_i, t)
-    and no later column is minimal.  A line costs one list pass over
-    those columns per valuation with a_d > 0, one division per other
-    one, and nothing for one whose k*r - a''.q <= 0 (a'' = a[:-2]).
-    Powers with more than MAX_CLOSURE_COLUMNS columns are refused.
+    a time, and ends it at its first zero, which membership being upward
+    closed puts no later than that of a lower line q - e_i.  On the line,
+    each valuation with a_d > 0 bounds z by (b - s*t) / a_d, where
+    b = k*r - a''.q (a'' = a[:-2]) and s = a_{d-1} >= 0, and z is the
+    ceiling of the bounds' upper envelope, which does not increase.  A
+    segment of it costs one pass over the valuations, to find the largest
+    bound at t by cross-multiplying and the column where a flatter one
+    exceeds it, and one floor division per column.  A valuation with
+    a_d = 0 costs one division, one with b <= 0 nothing.  Powers whose
+    box has more than MAX_CLOSURE_COLUMNS columns are refused.
     """
     k = read_int(k, 1, "power", NonPositivePowerError)
     d, bound = ideal.dim, k * ideal.max_coordinate
@@ -423,23 +428,35 @@ def integral_closure_power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
     gens = []
     for q in itertools.product(span, repeat=d - 2):
         lows = [lines[q[:i] + (e - 1,) + q[i + 1:]] for i, e in enumerate(q) if e]
-        end = out
-        for low in lows:  # a comprehension would cost the one 2D line ~0.4 us
-            if 0 in low:
-                end = min(end, low.index(0) + 1)
-        walk, bounds, cut = range(end), [], 0
+        end = min(map(len, lows), default=out)
+        bounds, cut = [], 0
         for head, step, last, target in rows:
             base = target - sum(map(operator.mul, head, q))
             if base <= 0:  # the valuation holds on the whole line
                 continue
             if last:
-                bounds.append([-((step * t - base) // last) for t in walk])
+                bounds.append((base, step, last))
             elif step:
                 cut = max(cut, min(-(-base // step), out))
             else:
                 cut = out
-        zs = list(map(max, [0] * end, *bounds)) if bounds else [0] * end
-        zs[:cut] = [out] * cut
+        zs = [out] * min(cut, end)
+        t = len(zs)
+        while t < end:
+            b, s, l = 0, 0, 1  # the largest bound (b - s*t) / l at t; (0, 0, 1) is z = 0
+            for bj, sj, lj in bounds:
+                if (bj - sj * t) * l > (b - s * t) * lj:
+                    b, s, l = bj, sj, lj
+            if not b:
+                zs.append(0)
+                break
+            stop = min(end, -(-b // s)) if s > 0 else end  # its own zero
+            for bj, sj, lj in bounds:
+                if sj * l < s * lj:  # a flatter bound exceeds it from this column on
+                    stop = min(stop, (b * lj - bj * l) // (s * lj - sj * l) + 1)
+            zs += map(operator.floordiv, itertools.count(b - s * t + l - 1, -s),
+                      itertools.repeat(l, stop - t))
+            t = stop
         lines[q] = zs
         floor = [out, *zs[:-1]]
         for low in lows:
@@ -508,7 +525,8 @@ def parse_ideal(text: str) -> MonomialIdeal:
             try:
                 dim = int(parts[1])
             except ValueError:
-                raise ParseError(f"bad dimension {parts[1]!r}", lineno) from None
+                why = digits_refusal(parts[1], "dimension") or f"bad dimension {parts[1]!r}"
+                raise ParseError(why, lineno) from None
             if not 1 <= dim <= 3:
                 raise ParseError(f"dimension must be 1..3, got {dim}", lineno)
             continue
@@ -518,7 +536,8 @@ def parse_ideal(text: str) -> MonomialIdeal:
         try:
             vec = tuple(map(int, parts))
         except ValueError:
-            raise ParseError(f"bad exponent in {line!r}", lineno) from None
+            why = next(filter(None, (digits_refusal(p, "exponent") for p in parts)), None)
+            raise ParseError(why or f"bad exponent in {line!r}", lineno) from None
         if min(vec) < 0:
             raise ParseError("exponents must be nonnegative", lineno)
         gens.append(vec)

@@ -460,6 +460,19 @@ def test_closure_refuses_a_column_count_too_long_to_print(capsys, ideal_file):
     assert err == "error: closure has ~10^5000 columns, above the limit of 100000\n"
 
 
+@pytest.mark.parametrize("text, line, what", [("dim {}\n1\n", 1, "dimension"),
+                                              ("dim 2\n{} 1\n", 2, "exponent")])
+def test_closure_refuses_an_integer_too_long_to_read(capsys, ideal_file, text, line, what):
+    # the refusal names the token's length and the limit, and does not echo it
+    limit = sys.get_int_max_str_digits()
+    token = "7" * (limit + 700)
+    err = _refuses_quickly(capsys, "closure", ideal_file(text.format(token)), "--k", "1")
+    assert err == (
+        f"error: line {line}: {what}: int value of {len(token)} characters "
+        f"exceeds the {limit}-digit limit\n"
+    )
+
+
 def test_co2_refuses_an_lcm_too_long_to_print(capsys):
     big = 10**900
     components = ",".join(str(big + i) for i in range(6))

@@ -708,6 +708,103 @@ class TestIntegralClosure:
         for k in range(1, 5):
             assert integral_closure_power(ideal, k).generators == box_scan_closure(ideal, k)
 
+    # The walk fills each segment of the upper envelope of a line's bounds
+    # from the one bound largest there, and ends the line at its first zero.
+    @settings(deadline=None, max_examples=30)
+    @given(staircases(30, min_gens=10), st.integers(1, 3))
+    def test_many_envelope_segments_match_box_scan(self, ideal, k):
+        assert integral_closure_power(ideal, k).generators == box_scan_closure(ideal, k)
+
+    @pytest.mark.parametrize("n, seed", [(6, 1), (8, 2), (10, 3), (12, 4)])
+    def test_sphere_ideals_match_box_scan(self, n, seed):
+        ideal = sphere_ideal(n, seed)
+        for k in (1, 2):
+            assert integral_closure_power(ideal, k).generators == box_scan_closure(ideal, k)
+
+    @pytest.mark.parametrize(
+        "gens, dim",
+        [
+            # collinear generators: at each vertex k*(2, 2) two bounds tie
+            ({(0, 6), (1, 4), (2, 2), (4, 1), (6, 0)}, 2),
+            ({(0, 4, 0), (0, 2, 2), (0, 0, 4), (2, 2, 0), (2, 0, 2), (4, 0, 0)}, 3),
+            ({(0, 4), (1, 3), (2, 2), (3, 1), (4, 0)}, 2),
+        ],
+    )
+    def test_tied_bounds_at_a_breakpoint_match_box_scan(self, gens, dim):
+        ideal = minimalize(gens, dim)
+        for k in range(1, 5):
+            assert integral_closure_power(ideal, k).generators == box_scan_closure(ideal, k)
+
+    @pytest.mark.parametrize(
+        "gens, dim",
+        [
+            # normal (0, 1): z >= k on the whole line
+            ({(0, 3), (2, 1)}, 2),
+            # normal (1, 0, 1): z >= 2k - x on the whole line of each x
+            ({(2, 0, 0), (0, 0, 2)}, 3),
+            ({(2, 0, 0), (0, 0, 2), (1, 3, 1)}, 3),
+            ({(3, 0, 1), (0, 2, 1), (0, 0, 3)}, 3),
+        ],
+    )
+    def test_a_bound_constant_along_the_line_matches_box_scan(self, gens, dim):
+        ideal = minimalize(gens, dim)
+        assert any(v.normal[-2] == 0 < v.normal[-1] for v in rees_valuations(ideal).valuations)
+        for k in range(1, 5):
+            assert integral_closure_power(ideal, k).generators == box_scan_closure(ideal, k)
+
+    @pytest.mark.parametrize(
+        "gens, dim",
+        [
+            # the one 2D line has no lower line
+            ({(2, 0), (0, 3)}, 2),
+            # the line of x reaches zero at y = 3k - x, one column before x - 1's
+            ({(3, 0, 0), (0, 3, 0), (0, 0, 3)}, 3),
+            ({(5, 0, 0), (0, 2, 0), (0, 0, 7), (1, 1, 2)}, 3),
+        ],
+    )
+    def test_a_line_ending_before_its_lower_lines_matches_box_scan(self, gens, dim):
+        ideal = minimalize(gens, dim)
+        for k in range(1, 5):
+            assert integral_closure_power(ideal, k).generators == box_scan_closure(ideal, k)
+
+    @pytest.mark.parametrize(
+        "gens, dim, filled",
+        [
+            # z = ceil((6k - 3t) / 2) on t in [0, 3k] is 0 from t = 2k on
+            ({(2, 0), (0, 3)}, 2, lambda k: [2 * k]),
+            # the line of x fills y < 3k - x; the line x = 3k is 0 from y = 0
+            ({(3, 0, 0), (0, 3, 0), (0, 0, 3)}, 3, lambda k: list(range(3 * k, 0, -1))),
+        ],
+    )
+    def test_a_line_computes_no_column_past_its_first_zero(self, monkeypatch, gens, dim, filled):
+        # each segment's columns are one floor division each, counted by
+        # the itertools.repeat that pairs them with the divisor
+        counts = []
+
+        class Recording:
+            def __getattr__(self, name):
+                return getattr(itertools, name)
+
+            @staticmethod
+            def repeat(value, times):
+                counts.append(times)
+                return itertools.repeat(value, times)
+
+        ideal = minimalize(gens, dim)
+        monkeypatch.setattr(monomial, "itertools", Recording())
+        for k in (1, 4, 9):
+            counts.clear()
+            assert integral_closure_power(ideal, k).generators == box_scan_closure(ideal, k)
+            assert counts == filled(k)
+
+    def test_largest_2d_answer(self):
+        # (x^2, y^3) at k = 33 333: the 100 000 columns of the limit, of
+        # which the line computes the 66 667 up to its first zero
+        closure = integral_closure_power(minimalize({(2, 0), (0, 3)}), 33333)
+        assert len(closure.generators) == 66667
+        assert closure.generators[:2] == ((0, 99999), (1, 99998))
+        assert closure.generators[-2:] == ((66665, 2), (66666, 0))
+
     # closure(I^k) = I * closure(I^(k-1)) for k >= d (Reid, Roberts and
     # Vitulli 2003): a certificate that uses no facets and no
     # Fourier-Motzkin, only a product and minimalize.
@@ -1245,6 +1342,37 @@ class TestParse:
             assert parse_ideal(text).generators == generators
         with pytest.raises(ImproperIdealError, match="unit monomial"):
             parse_ideal("dim 2\n0 0\n")
+
+    @pytest.mark.parametrize(
+        "text, line, what",
+        [("dim {}\n1\n", 1, "dimension"), ("dim 2\n1 {}\n", 2, "exponent"),
+         ("dim 3\n1 x {}\n", 2, "exponent")],
+    )
+    def test_an_integer_over_the_digit_limit_is_refused_by_its_length(self, text, line, what):
+        # int() refuses it; the message states its length and the limit, not the token
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(ParseError) as err:
+            parse_ideal(text.format("7" * (limit + 700)))
+        assert err.value.line == line
+        assert str(err.value) == (
+            f"line {line}: {what}: int value of {limit + 700} characters "
+            f"exceeds the {limit}-digit limit"
+        )
+
+    def test_other_bad_integers_are_refused_as_before(self):
+        # as many characters as a refused token, but few enough digits
+        under = "_".join("1" * (sys.get_int_max_str_digits() // 2 + 1)) + "x"
+        cases = {
+            "dim x\n": "line 1: bad dimension 'x'",
+            f"dim {under}\n": f"line 1: bad dimension {under!r}",
+            "dim 2\n1 y\n": "line 2: bad exponent in '1 y'",
+            f"dim 2\n1 {under}\n": f"line 2: bad exponent in '1 {under}'",
+            "dim 2\n1 -1\n": "line 2: exponents must be nonnegative",
+        }
+        for text, message in cases.items():
+            with pytest.raises(ParseError) as err:
+                parse_ideal(text)
+            assert str(err.value) == message
 
 
 def test_monomial_str():
