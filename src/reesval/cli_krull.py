@@ -7,8 +7,8 @@ Loaded only by a ``krull`` or ``co2`` process; it never imports
 from __future__ import annotations
 
 from . import krull
-from .errors import BadKError, OutputLimitError, int_text
-from .itoh import parse_rees
+from .errors import OutputLimitError, int_text
+from .itoh import _read_list, parse_rees
 
 # the krull subcommand prints one exponent per maximal ideal, so it
 # refuses realizations with more maximal ideals than this, or whose
@@ -105,10 +105,7 @@ def _parse_components(raw: str) -> krull.ComponentPlan:
         if not segment:
             components.append(krull.Component(rees_integers=(), participates=False))
             continue
-        try:
-            entries = tuple(int(part) for part in segment.split(","))
-        except ValueError:
-            raise BadKError(f"bad component Rees list {segment!r}") from None
+        entries = _read_list(segment, "component Rees")
         components.append(krull.Component(rees_integers=entries, participates=True))
     return krull.ComponentPlan(components)
 

@@ -16,6 +16,7 @@ from .errors import (
     BadKError,
     EquivalenceViolation,
     NonPositiveError,
+    digits_refusal,
     lcm_of,
     read_int,
 )
@@ -53,13 +54,20 @@ def rees_data(entries: Iterable[int] | ReesData) -> ReesData:
     return entries if isinstance(entries, ReesData) else ReesData(tuple(entries))
 
 
+def _read_list(text: str, what: str) -> tuple[int, ...]:
+    """The ints of a comma-separated ``what`` list; ``BadKError`` when one is
+    not an int, naming an entry too long to read by its length alone."""
+    parts = text.split(",")
+    try:
+        return tuple(map(int, parts))
+    except ValueError:
+        why = next(filter(None, (digits_refusal(p, f"{what} list entry") for p in parts)), None)
+        raise BadKError(why or f"bad {what} list {text!r}") from None
+
+
 def parse_rees(text: str) -> ReesData:
     """The ``ReesData`` of a comma-separated list of Rees integers."""
-    try:
-        entries = tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise BadKError(f"bad Rees integer list {text!r}") from None
-    return ReesData(entries)
+    return ReesData(_read_list(text, "Rees integer"))
 
 
 class ItohValuationRecord(Record):

@@ -3,18 +3,19 @@
 It decides whether x^m lies in the closure of the k-th power of a
 monomial ideal touching no facet data at all, independently of
 :func:`reesval.monomial.rees_valuations`: it looks for a convex
-combination of at most d scaled generators below the point.  Each
-generator first gets a cover: the nonzero 0/1 weights a with
-a.k*g <= a.m, found by a step compiled once per dimension.  A subset
-is tested only when its covers' union holds every weight, and when the
-union over all generators does not, one weight separates m from the
-scaled generators and the answer is no without any subset test.  A
-pair (one weight) and a triple (two weights) are decided by tests
-compiled once per dimension, each coordinate's bound spelled out: a
-pair narrows [0, 1], and a triple takes one Fourier-Motzkin step on
-d + 3 rows; neither reduces a row by its gcd.  The general
-Fourier-Motzkin solver shares no code with them and is the exact
-reference they are tested against.
+combination of at most d scaled generators below the point.  Three
+kernels decide it, written from one source template for each d and
+compiled at import into one table for d = 1, 2, 3.  ``covers`` gives
+each scaled generator its cover: the nonzero 0/1 weights a with
+a.k*g <= a.m.  A subset is tested only when its covers' union holds
+every weight, and when the union over all generators does not, one
+weight separates m from the scaled generators and the answer is no
+without any subset test.  ``pair`` (one weight) and ``triple`` (two
+weights) decide a subset, each coordinate's bound spelled out: a pair
+narrows [0, 1], and a triple takes one Fourier-Motzkin step on d + 3
+rows; neither reduces a row by its gcd.  The general Fourier-Motzkin
+solver shares no code with them and is the exact reference they are
+tested against.
 
 All arithmetic is exact: integers only.
 """
@@ -77,59 +78,9 @@ def _fm_feasible(constraints: Iterable[tuple[Sequence[int], int]], nvars: int) -
     return low * high_den <= high * low_den
 
 
-# The cover step of each dimension, compiled on its first use.
-_COVER_STEPS: dict = {}
-_COVER_STEP_SOURCE = """\
-def covers(gens, k, m):
-    {m}, = m
-    pool, union = [], 0
-    for g in gens:
-        {g}, = g
-        {t} = {slack}
-        cover = {cover}
-        if cover == {full}:
-            return None
-        if cover:
-            pool.append((g if k == 1 else ({scaled},), cover))
-            union |= cover
-    return pool if union == {full} else []
-"""
-
-
-def _cover_step(d: int):
-    """The covers of the scaled generators at a point, compiled once per d.
-
-    Its source is written from ``operator.index(d)`` alone: for each
-    generator g, with t = m - k*g, bit i of the cover is set when
-    a_i.t >= 0 for the i-th nonzero 0/1 weight a_i, the d unit weights
-    first, and each a_i.t is spelled out.  The step returns None when a
-    cover is full (k*g <= m), and otherwise the pairs (k*g, cover) of
-    nonzero cover, or no pair when their union is not full.
-    """
-    d = operator.index(d)
-    if d not in _COVER_STEPS:
-        weights = [1 << j for j in range(d)]
-        weights += [a for a in range(1, 1 << d) if a & (a - 1)]
-        sums = [" + ".join(f"t{j}" for j in range(d) if a >> j & 1) for a in weights]
-        namespace: dict = {}
-        exec(_COVER_STEP_SOURCE.format(
-            m=", ".join(f"m{j}" for j in range(d)),
-            g=", ".join(f"g{j}" for j in range(d)),
-            t=", ".join(f"t{j}" for j in range(d)),
-            slack=", ".join(f"m{j} - k * g{j}" for j in range(d)),
-            cover=" | ".join(f"({s} >= 0) << {i}" if i else f"({s} >= 0)"
-                             for i, s in enumerate(sums)),
-            full=(1 << len(weights)) - 1,
-            scaled=", ".join(f"k * g{j}" for j in range(d)),
-        ), namespace)
-        _COVER_STEPS[d] = namespace["covers"]
-    return _COVER_STEPS[d]
-
-
-# The subset tests of each dimension, compiled on their first use.  _BOUND
+# The kernels of each dimension: one source, written from d alone.  _BOUND
 # adds c*x <= b to x's interval [low/low_den, high/high_den] (den 0: none);
 # it goes after an indent of four, or after "el" to continue an elif chain.
-_SUBSET_STEPS: dict = {}
 _BOUND = """if c > 0:
         if b * high_den < high * c:
             high, high_den = b, c
@@ -138,7 +89,20 @@ _BOUND = """if c > 0:
             low, low_den = -b, -c
     elif b < 0:
         return False"""
-_SUBSET_STEP_SOURCE = """\
+_KERNEL_SOURCE = """\
+FULL = {full}
+def covers(gens, k, m):
+    ({m},) = m
+    pool, union = [], 0
+    for ({g},) in gens:
+        {t} = {slack}
+        cover = {cover}
+        if cover == {full}:
+            return None
+        if cover:
+            pool.append((({scaled},), cover))
+            union |= cover
+    return pool if union == {full} else []
 def pair(p, q, m):
     ({p},), ({q},), ({m},) = p, q, m
     low, low_den, high, high_den = 0, 1, 1, 1{pair_rows}
@@ -153,38 +117,54 @@ def triple(p, r, q, m):
             {combined}
     return low * high_den <= high * low_den
 """
-_TRIPLE_ROW = """
+
+
+def _kernel_source(d: int) -> str:
+    """The source of the kernels at a point m, written from ``operator.index(d)`` alone.
+
+    Each coordinate j is spelled out.  ``covers(gens, k, m)``: bit i of a
+    generator g's cover is set when a_i.(m - k*g) >= 0 for the i-th
+    nonzero 0/1 weight a_i, the d unit weights first; it returns None
+    when a cover is ``FULL`` (k*g <= m), and otherwise the pairs
+    (k*g, cover) of nonzero cover, or no pair when their union is not
+    full.  ``pair(p, q, m)``: is w*p + (1 - w)*q <= m for a w in [0, 1]?
+    Each w*c <= b, c, b = p_j - q_j, m_j - q_j, narrows [0, 1].
+    ``triple(p, r, q, m)``: is u*p + w*r + (1 - u - w)*q <= m for u, w >= 0,
+    u + w <= 1?  Its d + 3 rows c*u + e*w <= b are split by the sign of e
+    as read, and one Fourier-Motzkin step combines each with e > 0 with
+    each with e < 0; positive scaling keeps every bound.
+    """
+    d = operator.index(d)
+    weights = [1 << j for j in range(d)] + [a for a in range(1, 1 << d) if a & (a - 1)]
+    sums = [" + ".join(f"t{j}" for j in range(d) if a >> j & 1) for a in weights]
+    return _KERNEL_SOURCE.format(
+        **{v: ", ".join(f"{v}{j}" for j in range(d)) for v in "gmpqrt"},
+        slack=", ".join(f"m{j} - k * g{j}" for j in range(d)),
+        full=(1 << len(weights)) - 1,
+        cover=" | ".join(f"({s} >= 0) << {i}" for i, s in enumerate(sums)),
+        scaled=", ".join(f"k * g{j}" for j in range(d)),
+        pair_rows="".join(f"\n    c, b = p{j} - q{j}, m{j} - q{j}\n    {_BOUND}"
+                          for j in range(d)),
+        triple_rows="".join(f"""
     c, e, b = p{j} - q{j}, r{j} - q{j}, m{j} - q{j}
     if e > 0:
         pos.append((c, e, b))
     elif e < 0:
         neg.append((c, -e, b))
-    el"""
+    el{_BOUND}""" for j in range(d)),
+        combined=_BOUND.replace("\n", "\n        "),
+    )
 
 
-def _subset_steps(d: int):
-    """The pair and triple tests at a point m, compiled once per d.
+def _compile(d: int) -> tuple:
+    """(covers, pair, triple, FULL) of dimension d, from :func:`_kernel_source`."""
+    namespace: dict = {}
+    exec(_kernel_source(d), namespace)
+    return operator.itemgetter("covers", "pair", "triple", "FULL")(namespace)
 
-    Their source is written from ``operator.index(d)`` alone, each
-    coordinate j spelled out.  ``pair(p, q, m)``: is w*p + (1 - w)*q <= m
-    for a w in [0, 1]?  Each w*c <= b, c, b = p_j - q_j, m_j - q_j, narrows
-    [0, 1].  ``triple(p, r, q, m)``: is u*p + w*r + (1 - u - w)*q <= m for
-    u, w >= 0, u + w <= 1?  Its d + 3 rows c*u + e*w <= b are split by the
-    sign of e as read, and one Fourier-Motzkin step combines each with
-    e > 0 with each with e < 0; positive scaling keeps every bound.
-    """
-    d = operator.index(d)
-    if d not in _SUBSET_STEPS:
-        namespace: dict = {}
-        exec(_SUBSET_STEP_SOURCE.format(
-            **{v: ", ".join(f"{v}{j}" for j in range(d)) for v in "pqrm"},
-            pair_rows="".join(f"\n    c, b = p{j} - q{j}, m{j} - q{j}\n    {_BOUND}"
-                              for j in range(d)),
-            triple_rows="".join(_TRIPLE_ROW.format(j=j) + _BOUND for j in range(d)),
-            combined=_BOUND.replace("\n", "\n        "),
-        ), namespace)
-        _SUBSET_STEPS[d] = namespace["pair"], namespace["triple"]
-    return _SUBSET_STEPS[d]
+
+# The kernels of every dimension a MonomialIdeal admits, compiled at import.
+_KERNELS = {d: _compile(d) for d in (1, 2, 3)}
 
 
 def oracle_is_integral(ideal: MonomialIdeal, k: int, m: Sequence[int]) -> bool:
@@ -195,8 +175,8 @@ def oracle_is_integral(ideal: MonomialIdeal, k: int, m: Sequence[int]) -> bool:
     convex combinations of at most d of the scaled generators, each
     subset decided as exact rational feasibility in at most d - 1
     weights, independently of :func:`rees_valuations`, by the pair and
-    triple tests :func:`_subset_steps` compiles for d on the first query
-    that reaches a subset.  As d <= 3, no larger subset occurs.
+    triple kernels of the table entry for d.  As d <= 3, no larger subset
+    occurs.
 
     At most d generators are needed (Caratheodory).  If m lies in the
     polyhedron P, move it along -(1, ..., 1) to the last point p still
@@ -224,10 +204,10 @@ def oracle_is_integral(ideal: MonomialIdeal, k: int, m: Sequence[int]) -> bool:
     a.(m - g) >= 0, the d unit weights as bits 0..d-1: all of them is
     dominance, no unit bit is pruning (a), and a subset passes (b) when
     the union of its members' covers is full.  The covers come from the
-    step :func:`_cover_step` compiles for d, one pass over the
-    generators that scales them only when k > 1.  When the union over
-    all generators is not full, no subset passes (b), and the oracle
-    answers False with no pair or triple test: m is not a member.
+    entry's ``covers`` kernel, one pass over the generators, and the
+    entry carries the full mask.  When the union over all generators is
+    not full, no subset passes (b), and the oracle answers False with no
+    pair or triple test: m is not a member.
     """
     k = read_int(k, 1, "power", NonPositivePowerError)
     try:
@@ -242,11 +222,10 @@ def oracle_is_integral(ideal: MonomialIdeal, k: int, m: Sequence[int]) -> bool:
         )
     if min(m) < 0:
         raise DimensionMismatchError(f"negative exponent in {vec_text(m)}")
-    pool = _cover_step(ideal.dim)(ideal.generators, k, m)
+    covers, pair, triple, full = _KERNELS[ideal.dim]
+    pool = covers(ideal.generators, k, m)
     if not pool:
         return pool is None
-    pair, triple = _subset_steps(ideal.dim)
-    full = (1 << (1 << ideal.dim) - 1) - 1
     for (p, cp), (q, cq) in itertools.combinations(pool, 2):
         if cp | cq == full and pair(p, q, m):
             return True

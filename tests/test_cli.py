@@ -473,6 +473,33 @@ def test_closure_refuses_an_integer_too_long_to_read(capsys, ideal_file, text, l
     )
 
 
+@pytest.mark.parametrize("argv, what", [
+    (("itoh", "--rees", "2,{}", "--k", "6"), "Rees integer"),
+    (("krull", "--rees", "2,{}", "--k", "6", "--family", "S"), "Rees integer"),
+    (("co2", "--components", "2,{};", "--e", "6"), "component Rees"),
+])
+def test_rees_list_refuses_an_integer_too_long_to_read(capsys, argv, what):
+    # the refusal names the entry's length and the limit, and does not echo the list
+    limit = sys.get_int_max_str_digits()
+    token = "7" * (limit + 700)
+    err = _refuses_quickly(capsys, *(a.format(token) for a in argv))
+    assert err == (
+        f"error: {what} list entry: int value of {len(token)} characters "
+        f"exceeds the {limit}-digit limit\n"
+    )
+
+
+@pytest.mark.parametrize("argv", [
+    ("itoh", "--rees", "{}", "--k", "6"),
+    ("co2", "--components", "{};", "--e", "12345"),
+])
+def test_rees_list_of_short_integers_is_read_past_the_digit_limit(capsys, argv):
+    # the limit applies to each entry, not to the list's digits in all
+    entries = ",".join(["12345"] * (sys.get_int_max_str_digits() // 5 + 1))
+    code, out, err = run_cli(capsys, *(a.format(entries) for a in argv))
+    assert (code, err) == (0, "")
+
+
 def test_co2_refuses_an_lcm_too_long_to_print(capsys):
     big = 10**900
     components = ",".join(str(big + i) for i in range(6))

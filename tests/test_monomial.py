@@ -1,9 +1,7 @@
 import itertools
 import math
 import operator
-import os
 import random
-import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -954,14 +952,15 @@ class TestOracle:
 
     @pytest.fixture
     def refusing_subset_tests(self, monkeypatch):
-        """Compiled pair and triple tests in 2D and 3D that raise when called."""
+        """The kernel table with pair and triple tests that raise when called."""
         def refusing(route):
             def refuse(*args):
                 raise AssertionError(f"the oracle tested a {route}")
             return refuse
 
-        steps = {d: (refusing("pair"), refusing("triple")) for d in (2, 3)}
-        monkeypatch.setattr(oracle, "_SUBSET_STEPS", steps)
+        table = {d: (covers, refusing("pair"), refusing("triple"), full)
+                 for d, (covers, _, _, full) in oracle._KERNELS.items()}
+        monkeypatch.setattr(oracle, "_KERNELS", table)
 
     @pytest.mark.parametrize("gens, k, point", [
         # the all-ones weight: each of 2*(x^3, y^3, z^3) sums to 6 > 2 + 2 + 1
@@ -1035,88 +1034,52 @@ def unpruned_member(ideal, k, m):
 
 @pytest.fixture
 def compiled_sources(monkeypatch):
-    """The source of every oracle step compiled from here on, from empty caches,
-    by the first function it defines: "covers", or "pair" for the subset tests."""
-    sources = {"covers": [], "pair": []}
+    """The source of every kernel compiled from here on."""
+    sources = []
 
     def recording_exec(source, namespace):
-        sources[source[len("def "):source.index("(")]].append(source)
+        sources.append(source)
         exec(source, namespace)
 
-    monkeypatch.setattr(oracle, "_COVER_STEPS", {})
-    monkeypatch.setattr(oracle, "_SUBSET_STEPS", {})
     monkeypatch.setattr(oracle, "exec", recording_exec, raising=False)
     return sources
 
 
+NON_INTEGER_DIMENSIONS = [3.0, "3", "3) or __import__('os') or (", None, Fraction(3)]
+
+
 class TestCoverStep:
-    @pytest.fixture
-    def compiled(self, compiled_sources):
-        """The source of every cover step compiled from here on."""
-        return compiled_sources["covers"]
+    """The source writer of the kernels: a pure function of d."""
 
-    def test_compiled_on_the_first_query_and_once(self, compiled):
-        square = minimalize({(2, 0), (0, 2)})
-        assert oracle_is_integral(square, 1, (1, 1))
-        assert not oracle_is_integral(square, 1, (1, 0))
-        assert len(compiled) == 1 and list(oracle._COVER_STEPS) == [2]
-        cube = minimalize({(3, 0, 0), (0, 3, 0), (0, 0, 3)})
-        assert oracle_is_integral(cube, 1, (1, 1, 1))
-        assert not oracle_is_integral(cube, 2, (2, 2, 1))
-        assert len(compiled) == 2 and list(oracle._COVER_STEPS) == [2, 3]
-        # one bit per nonzero 0/1 weight: 3 in 2D, 7 in 3D
-        assert "<< 2" in compiled[0] and "<< 3" not in compiled[0]
-        assert "<< 6" in compiled[1] and "<< 7" not in compiled[1]
-
-    def test_import_compiles_nothing(self):
-        code = "import reesval.oracle as o; assert o._COVER_STEPS == {}"
-        package_parent = os.path.dirname(os.path.dirname(oracle.__file__))
-        subprocess.run([sys.executable, "-c", code], check=True,
-                       env={**os.environ, "PYTHONPATH": package_parent})
-
-    @pytest.mark.parametrize("d", [3.0, "3", "3) or __import__('os') or (", None, Fraction(3)])
-    def test_non_integer_dimension_is_refused_before_compiling(self, compiled, d):
+    @pytest.mark.parametrize("d", NON_INTEGER_DIMENSIONS)
+    def test_non_integer_dimension_is_refused_before_compiling(self, d):
+        # the source writer refuses it before writing a line
         with pytest.raises(TypeError):
-            oracle._cover_step(d)
-        assert compiled == [] and oracle._COVER_STEPS == {}
+            oracle._kernel_source(d)
 
 
 class TestSubsetSteps:
-    @pytest.fixture
-    def compiled(self, compiled_sources):
-        """The source of every pair and triple test compiled from here on."""
-        return compiled_sources["pair"]
+    """The kernel table: compiled at import, never on a query."""
 
-    def test_compiled_on_the_first_query_that_reaches_a_subset_and_once(self, compiled):
-        square = minimalize({(2, 0), (0, 2)})
-        cube = minimalize({(3, 0, 0), (0, 3, 0), (0, 0, 3)})
-        # dominance and a separating 0/1 weight decide with no subset
-        assert oracle_is_integral(square, 1, (2, 1))
-        assert not oracle_is_integral(square, 1, (1, 0))
-        assert not oracle_is_integral(cube, 2, (2, 2, 1))
-        assert compiled == [] and oracle._SUBSET_STEPS == {}
-        assert oracle_is_integral(square, 1, (1, 1))
-        assert not oracle_is_integral(minimalize({(2, 0), (0, 3)}), 1, (1, 1))
-        assert len(compiled) == 1 and list(oracle._SUBSET_STEPS) == [2]
-        assert oracle_is_integral(cube, 1, (1, 1, 1))
-        assert not oracle_is_integral(cube, 1, (1, 1, 0))
-        assert len(compiled) == 2 and list(oracle._SUBSET_STEPS) == [2, 3]
-        # one bound spelled out per coordinate, and no division anywhere
-        assert "m1 - q1" in compiled[0] and "m2" not in compiled[0]
-        assert "m2 - q2" in compiled[1] and "m3" not in compiled[1]
-        assert not any("/" in source or "gcd" in source for source in compiled)
+    def test_import_fills_the_table_for_every_dimension(self):
+        assert sorted(oracle._KERNELS) == [1, 2, 3]
+        for d, (*kernels, full) in oracle._KERNELS.items():
+            assert [f.__name__ for f in kernels] == ["covers", "pair", "triple"]
+            # one bit per nonzero 0/1 weight: 1 in 1D, 3 in 2D, 7 in 3D
+            assert full == (1 << (1 << d) - 1) - 1
+            source = oracle._kernel_source(d)
+            assert f"<< {full.bit_length() - 1}" in source
+            assert f"<< {full.bit_length()}" not in source
+            # one bound spelled out per coordinate, and no division anywhere
+            assert f"m{d - 1} - q{d - 1}" in source and f"m{d}" not in source
+            assert "/" not in source and "gcd" not in source
 
-    def test_import_compiles_nothing(self):
-        code = "import reesval.oracle as o; assert o._SUBSET_STEPS == {}"
-        package_parent = os.path.dirname(os.path.dirname(oracle.__file__))
-        subprocess.run([sys.executable, "-c", code], check=True,
-                       env={**os.environ, "PYTHONPATH": package_parent})
-
-    @pytest.mark.parametrize("d", [3.0, "3", "3) or __import__('os') or (", None, Fraction(3)])
+    @pytest.mark.parametrize("d", NON_INTEGER_DIMENSIONS)
     def test_non_integer_dimension_is_refused_before_compiling(self, compiled_sources, d):
+        # nothing reaches exec
         with pytest.raises(TypeError):
-            oracle._subset_steps(d)
-        assert compiled_sources == {"covers": [], "pair": []} and oracle._SUBSET_STEPS == {}
+            oracle._compile(d)
+        assert compiled_sources == []
 
 
 BIG = 10**12
@@ -1227,6 +1190,9 @@ def subsets_below(draw):
 
 
 class TestDirectRoutes:
+    # the kernels of d = 1..4, each compiled once, past the table's d <= 3
+    KERNELS = {d: oracle._compile(d) for d in range(1, 5)}
+
     @settings(max_examples=400, deadline=None)
     @given(subsets_below())
     # p_1 = q_1 and m_1 < q_1: the row 0 <= -1
@@ -1239,7 +1205,7 @@ class TestDirectRoutes:
     def test_pairs_and_triples_match_the_general_solver(self, case):
         points, m = case
         rows, r = weight_system(points, m), len(points) - 1
-        direct = oracle._subset_steps(len(m))[r - 1]
+        direct = self.KERNELS[len(m)][r]
         assert direct(*points, m) is _fm_feasible(rows, r) is vertex_feasible(rows, r)
 
 

@@ -25,8 +25,8 @@ TEST_ONLY = {
     # a simple extension of degree e when every Rees integer equals e.
     "common_multiple_realization": "paper result (4)",
     # The general Fourier-Motzkin solver: the oracle decides its pairs
-    # and triples by tests compiled once per dimension, which share no
-    # code with it, and the tests check them against it.  The oracle
+    # and triples by kernels compiled at import for each dimension, which
+    # share no code with it, and the tests check them against it.  The oracle
     # needs it again for four or more points once d > 3.
     "_fm_feasible": "exact reference for the oracle's compiled pair and triple tests",
 }
