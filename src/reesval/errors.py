@@ -53,10 +53,6 @@ class DimensionMismatchError(InputError):
     pass
 
 
-class ZeroExponentError(InputError):
-    pass
-
-
 class NotMultipleError(InputError):
     pass
 

@@ -17,8 +17,11 @@ from .errors import (
     EquivalenceViolation,
     NonPositiveError,
     digits_refusal,
+    int_text,
     lcm_of,
     read_int,
+    repr_text,
+    vec_text,
 )
 from .dvrcalc import _root_invariants
 from .record import Record
@@ -142,13 +145,16 @@ def radicality_equivalence(rees: ReesData | Sequence[int], k: int) -> Equivalenc
         exponents.append(e // _root_invariants(e, k)[2])
         h, rest = divmod(e * _puiseux._ramification(e, k), k)
         if rest:
-            raise EquivalenceViolation(f"non-integral exponent for e={e}, k={k}")
+            raise EquivalenceViolation(
+                f"non-integral exponent for e={int_text(e)}, k={int_text(k)}"
+            )
         oracle_exponents.append(h)
     # routes (1)-(3); every exponent is >= 1, so "each is one" is "the largest is one"
     result = EquivalenceReport(k, max(exponents) == 1, max(oracle_exponents) <= 1,
                                k % rd.lcm == 0)
     if not result.agreed:
         raise EquivalenceViolation(
-            f"radicality statements disagree for rees={rd.entries}, k={k}: {result}"
+            f"radicality statements disagree for rees={vec_text(rd.entries)}, k={int_text(k)}: "
+            f"{repr_text(result)}"
         )
     return result

@@ -7,7 +7,7 @@ Rees valuations: the primitive inward normal is the weight vector of a
 monomial valuation and the offset is its Rees integer.  The facets
 come from one double description, adding generators by total degree
 in a step compiled once per dimension, except in 2D, where a monotone
-chain is 2-4x faster and is kept.  Integral closures of powers are cut
+chain is 2-5x faster and is kept.  Integral closures of powers are cut
 out by those facet inequalities.  The independent membership oracle,
 which decides the same question touching no facet data, is
 :mod:`reesval.oracle`; ``oracle_is_integral`` is still read from here,
@@ -29,12 +29,10 @@ from .errors import (
     ImproperIdealError,
     InconsistentDimensionError,
     InputError,
-    NonPositiveError,
     NonPositivePowerError,
     OutputLimitError,
     ParseError,
     VerificationError,
-    ZeroExponentError,
     digits_refusal,
     int_text,
     read_int,
@@ -198,47 +196,26 @@ def minimalize(gens: Iterable[Sequence[int]], dim: int | None = None) -> Monomia
 
 
 class ReesValuationSpec(Record):
-    """One Rees valuation: a primitive monomial weight and its Rees integer."""
+    """One Rees valuation: a primitive monomial weight and its Rees integer.
+
+    It holds a fact :func:`rees_valuations` computed, a facet's
+    primitive nonnegative normal and positive offset, and does not
+    re-check it.
+    """
 
     __slots__ = ("normal", "rees_integer")
-
-    def __post_init__(self):
-        try:
-            normal = tuple(map(operator.index, self.normal))
-        except TypeError:
-            raise ImproperIdealError(
-                f"valuation normal {repr_text(self.normal)} is not a sequence of integers"
-            ) from None
-        # a gcd of 1 also rules out the zero normal
-        if math.gcd(*normal) != 1 or min(normal) < 0:
-            if not any(normal):
-                raise ZeroExponentError("valuation normal cannot be zero")
-            if min(normal) < 0:
-                raise ImproperIdealError("valuation normal must be nonnegative")
-            raise ImproperIdealError(f"normal {vec_text(normal)} is not primitive")
-        ReesValuationSpec.normal.__set__(self, normal)
-        e = self.rees_integer
-        if e.__class__ is not int or e < 1:
-            ReesValuationSpec.rees_integer.__set__(
-                self, read_int(e, 1, "Rees integer", NonPositiveError)
-            )
-
-
-_NORMAL = operator.attrgetter("normal")
+    _tuples = ("normal",)
 
 
 class ReesPackage(Record):
-    """A monomial ideal together with all of its Rees valuations."""
+    """A monomial ideal together with all of its Rees valuations.
+
+    It holds the valuations :func:`rees_valuations` computed, sorted by
+    their distinct normals, and does not re-check or re-sort them.
+    """
 
     __slots__ = ("ideal", "valuations")
-
-    def __post_init__(self):
-        valuations = tuple(sorted(self.valuations, key=_NORMAL))
-        normals = [v.normal for v in valuations]
-        # sorted, equal normals are neighbours
-        if any(map(operator.eq, normals, normals[1:])):
-            raise ImproperIdealError("duplicate valuation normals")
-        ReesPackage.valuations.__set__(self, valuations)
+    _tuples = ("valuations",)
 
     @property
     def rees_integers(self) -> tuple[int, ...]:
@@ -352,8 +329,10 @@ def _facets_dd(gens: Sequence[Vec], d: int) -> list[tuple[Vec, int]]:
     # are independent, so d - 1 <= 2 common tight ones have rank d - 1 (no
     # more, as p and n lie in their null space) and, the cone being pointed,
     # cut out a 2-face whose only extreme rays are p and n.
-    for j, g in enumerate(gens[1:], start=d + 1):
-        rays = _dd_step(d)(rays, g, 1 << j)
+    if len(gens) > 1:  # a one-generator ideal compiles no step
+        step = _dd_step(d)
+        for j, g in enumerate(gens[1:], start=d + 1):
+            rays = step(rays, g, 1 << j)
     return [(y[:-1], -y[-1]) for y, _ in rays if any(y[:-1])]
 
 
@@ -372,12 +351,14 @@ def rees_valuations(ideal: MonomialIdeal) -> ReesPackage:
     facets define Rees valuations.  The facets come from :func:`_facets_2d`
     when d = 2 and otherwise from :func:`_facets_dd`, whose compiled step
     adds the generators by total degree.  Both give the same facets in 2D,
-    where the chain stays as it is 2-4x faster: a whole call on 2-40
-    generators takes 0.003-0.03 ms with it and 0.006-0.12 ms without.
+    where the chain stays as it is 2-5x faster: a whole call on 2-40
+    generators takes 0.003-0.03 ms with it and 0.008-0.17 ms without
+    (one 2-core Xeon, Python 3.11).  The facets are sorted once, so the
+    records are built in normal order and do not re-check what they hold.
     :func:`integral_closure_power` reads the same facet list.
     """
-    specs = [ReesValuationSpec(normal, offset) for normal, offset in _rees_facets(ideal)]
-    return ReesPackage(ideal, tuple(specs))
+    facets = sorted(_rees_facets(ideal))  # the normals are distinct, so sorted by normal
+    return ReesPackage(ideal, [ReesValuationSpec(normal, offset) for normal, offset in facets])
 
 
 # larger boxes of (k*M + 1)^(d - 1) columns are refused; the walk computes fewer

@@ -27,7 +27,7 @@ the two with the Fundamental Equality.
 
 from __future__ import annotations
 
-from .errors import FundamentalEqualityViolation, NonPositiveError
+from .errors import FundamentalEqualityViolation, NonPositiveError, int_text
 from .record import Record
 
 
@@ -52,7 +52,9 @@ def _certified_gcd(a: int, b: int) -> int:
         s, s_next = s_next, s - quotient * s_next
         t, t_next = t_next, t - quotient * t_next
     if s * a + t * b != g or a % g or b % g:
-        raise FundamentalEqualityViolation(f"no Bezout certificate for gcd({a}, {b}) = {g}")
+        raise FundamentalEqualityViolation(
+            f"no Bezout certificate for gcd({int_text(a)}, {int_text(b)}) = {int_text(g)}"
+        )
     return g
 
 

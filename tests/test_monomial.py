@@ -489,6 +489,26 @@ class TestReesValuations:
         assert all(offset > 0 for _, offset in facets)
         assert normals_and_integers(rees_valuations(ideal)) == sorted(facets)
 
+    def test_records_hold_the_facts_they_do_not_check(self):
+        # ReesValuationSpec and ReesPackage store what rees_valuations gives
+        # them unchecked, so the producer is held to every fact they hold
+        rng = random.Random(3601)
+        ideals = [sphere_ideal(n, seed) for n, seed in ((10, 3602), (24, 3603), (40, 3604))]
+        for _ in range(60):
+            d, n = rng.randint(1, 3), rng.randint(2, 40)
+            gens = {tuple(rng.randint(0, 15) for _ in range(d)) for _ in range(n)} - {(0,) * d}
+            ideals.append(minimalize(gens, d))
+        for ideal in ideals:
+            package = rees_valuations(ideal)
+            assert type(package.valuations) is tuple and package.valuations
+            for v in package.valuations:
+                assert type(v.normal) is tuple and len(v.normal) == ideal.dim
+                assert all(type(a) is int and a >= 0 for a in v.normal)
+                assert math.gcd(*v.normal) == 1  # nonzero and primitive
+                assert type(v.rees_integer) is int and v.rees_integer >= 1
+            normals = [v.normal for v in package.valuations]
+            assert all(map(operator.lt, normals, normals[1:]))  # sorted and distinct
+
     def test_determinism(self):
         gens = [(4, 0), (2, 3), (0, 6), (1, 5)]
         first = rees_valuations(minimalize(gens))

@@ -26,7 +26,6 @@ from reesval.errors import (
     IndexMismatchError,
     InputError,
     NonPositiveError,
-    ZeroExponentError,
 )
 from reesval.record import Record
 
@@ -263,81 +262,6 @@ def test_unequal_values_differ():
             ImproperIdealError,
             "generator 5 is not a sequence of integers",
             id="minimalize-int-generator",
-        ),
-        pytest.param(
-            lambda: monomial.ReesValuationSpec((1.5, 1), 2.5),
-            ImproperIdealError,
-            "valuation normal (1.5, 1) is not a sequence of integers",
-            id="ReesValuationSpec-float-normal",
-        ),
-        pytest.param(
-            lambda: monomial.ReesValuationSpec((1, 1), 2.5),
-            NonPositiveError,
-            "Rees integer must be an integer, got 2.5",
-            id="ReesValuationSpec-float-rees-integer",
-        ),
-        pytest.param(
-            lambda: monomial.ReesValuationSpec((0, 0), 1),
-            ZeroExponentError,
-            "valuation normal cannot be zero",
-            id="ReesValuationSpec-zero-normal",
-        ),
-        pytest.param(
-            lambda: monomial.ReesValuationSpec((-1, 1), 1),
-            ImproperIdealError,
-            "valuation normal must be nonnegative",
-            id="ReesValuationSpec-negative-2d",
-        ),
-        pytest.param(
-            lambda: monomial.ReesValuationSpec((2, 2), 1),
-            ImproperIdealError,
-            "normal (2, 2) is not primitive",
-            id="ReesValuationSpec-imprimitive-2d",
-        ),
-        pytest.param(
-            lambda: monomial.ReesValuationSpec((0, 4, 0), 1),
-            ImproperIdealError,
-            "normal (0, 4, 0) is not primitive",
-            id="ReesValuationSpec-imprimitive-3d",
-        ),
-        pytest.param(
-            lambda: monomial.ReesValuationSpec((0, -1, 1), 1),
-            ImproperIdealError,
-            "valuation normal must be nonnegative",
-            id="ReesValuationSpec-negative-3d",
-        ),
-        pytest.param(
-            lambda: monomial.ReesValuationSpec((1, 1), 0),
-            NonPositiveError,
-            "Rees integer must be >= 1, got 0",
-            id="ReesValuationSpec-zero-rees-integer",
-        ),
-        pytest.param(
-            lambda: monomial.ReesPackage(IDEAL, (SPEC, SPEC)),
-            ImproperIdealError,
-            "duplicate valuation normals",
-            id="ReesPackage-duplicate-normals",
-        ),
-        pytest.param(
-            lambda: monomial.ReesValuationSpec((1, 1), Fraction(3, 1)),
-            NonPositiveError,
-            "Rees integer must be an integer, got Fraction(3, 1)",
-            id="ReesValuationSpec-fraction-rees-integer",
-        ),
-        pytest.param(
-            lambda: monomial.ReesValuationSpec((1, 1), "3"),
-            NonPositiveError,
-            "Rees integer must be an integer, got '3'",
-            id="ReesValuationSpec-string-rees-integer",
-        ),
-        # the duplicates are not neighbours in the input, only once sorted
-        pytest.param(
-            lambda: monomial.ReesPackage(
-                IDEAL, (SPEC, monomial.ReesValuationSpec((1, 1), 2), SPEC)
-            ),
-            ImproperIdealError,
-            "duplicate valuation normals",
-            id="ReesPackage-duplicate-normals-apart",
         ),
     ]
     + [
