@@ -19,7 +19,7 @@ from .errors import (
     OutputLimitError,
     VerificationError,
     digits_refusal,
-    int_text,
+    value_text,
 )
 
 Namespace = type(sys.implementation)  # types.SimpleNamespace, without importing types
@@ -103,9 +103,8 @@ def _render(report: dict, as_json: bool) -> str:
     try:
         return render_json(report) if as_json else render_text(report)
     except ValueError:
-        size = int_text(_largest_int(report))
         raise OutputLimitError(
-            f"the report holds an integer of {size}, too long to print"
+            f"the report holds an integer of {value_text(_largest_int(report))}, too long to print"
         ) from None
 
 

@@ -7,7 +7,7 @@ Loaded only by a ``krull`` or ``co2`` process; it never imports
 from __future__ import annotations
 
 from . import krull
-from .errors import OutputLimitError, int_text
+from .errors import OutputLimitError, value_text
 from .itoh import _read_list, parse_rees
 
 # the krull subcommand prints one exponent per maximal ideal, so it
@@ -70,11 +70,11 @@ def cmd_krull(args) -> dict:
         count = plan.maximal_ideal_count
         if count > MAX_MAXIMAL_IDEALS:
             raise OutputLimitError(
-                f"realization has {int_text(count)} maximal ideals, "
+                f"realization has {value_text(count)} maximal ideals, "
                 f"above the limit of {MAX_MAXIMAL_IDEALS}"
             )
         # an exponent too long for str prints nothing: the renderer refuses it
-        digits = len(int_text(plan.jacobson_exponent))
+        digits = len(value_text(plan.jacobson_exponent))
         if count * digits > MAX_EXPONENT_DIGITS:
             raise OutputLimitError(
                 f"realization lists {count} exponents of {digits} digits, "

@@ -7,7 +7,7 @@ which ``python -m`` runs as ``__main__``.
 from __future__ import annotations
 
 from .dvrcalc import general_k_extension
-from .errors import OracleDisagreement, vec_text
+from .errors import OracleDisagreement, value_text
 
 
 def cmd_tower(args) -> dict:
@@ -33,8 +33,8 @@ def cmd_tower(args) -> dict:
         payload["agreement"] = agreement
         if not agreement:
             raise OracleDisagreement(
-                f"calculus {vec_text(step.invariants)} disagrees with oracle "
-                f"{vec_text((deg, ram, res))}"
+                f"calculus {value_text(step.invariants)} disagrees with oracle "
+                f"{value_text((deg, ram, res))}"
             )
     echo = {"e": args.e, "k": args.k, "oracle": bool(args.oracle)}
     return {"command": "tower", "input": echo, "payload": payload, "warnings": []}

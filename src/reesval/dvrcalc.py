@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import NonPositiveError, NotMultipleError, int_text, read_int
+from .errors import NonPositiveError, NotMultipleError, read_int, value_text
 from .record import Record
 
 
@@ -56,7 +56,7 @@ def itoh_tower(e_j: int, e: int) -> Tower:
     e_j = read_int(e_j, 1, "e_j", NonPositiveError)
     e = read_int(e, 1, "e", NonPositiveError)
     if e % e_j != 0:
-        raise NotMultipleError(f"{int_text(e)} is not a multiple of {int_text(e_j)}")
+        raise NotMultipleError(f"{value_text(e)} is not a multiple of {value_text(e_j)}")
     q = e // e_j
     return Tower((ExtensionStep(e_j, 1, e_j), ExtensionStep(q, q, 1)))
 

@@ -5,11 +5,10 @@ precondition violations (CLI exit code 2), while ``VerificationError``
 means an independent cross-check failed: a bug, never an expected
 outcome (CLI exit code 3).
 :func:`read_int` reads an integer argument or field against a lower
-bound, raising the ``InputError`` its caller names; :func:`int_text`,
-:func:`vec_text` and :func:`repr_text` write an int, a tuple of ints
-and any other value into a message, :func:`digits_refusal` says why
-``int`` refused a text too long to read, and :func:`lcm_of` takes the
-lcm of a list of integers, such as Rees integers.
+bound, raising the ``InputError`` its caller names; :func:`value_text`
+writes every value that a message names, :func:`digits_refusal` says
+why ``int`` refused a text too long to read, and :func:`lcm_of` takes
+the lcm of a list of integers, such as Rees integers.
 """
 
 import math
@@ -114,24 +113,10 @@ def read_int(value, least: int, what: str, error: type[InputError]) -> int:
         try:
             value = operator.index(value)
         except TypeError:
-            raise error(f"{what} must be an integer, got {repr_text(value)}") from None
+            raise error(f"{what} must be an integer, got {value_text(value)}") from None
     if value < least:
-        raise error(f"{what} must be >= {least}, got {int_text(value)}")
+        raise error(f"{what} must be >= {least}, got {value_text(value)}")
     return value
-
-
-def int_text(value: int) -> str:
-    """An int in decimal, or as ``~10^n`` or ``~-10^n`` when it is too long for ``str``.
-
-    CPython refuses to convert an int of more than 4300 digits (the
-    default of ``sys.set_int_max_str_digits``) and raises ``ValueError``,
-    so a message that printed such an int would crash in place of its
-    refusal.
-    """
-    try:
-        return str(value)
-    except ValueError:
-        return f"~{'-' if value < 0 else ''}10^{int(math.log10(abs(value)))}"
 
 
 def digits_refusal(text: str, what: str) -> str | None:
@@ -147,19 +132,25 @@ def digits_refusal(text: str, what: str) -> str | None:
     return None
 
 
-def repr_text(value) -> str:
-    """``repr(value)``, or ``<Name too long to print>`` when it holds an int
-    too long for ``str``, whose ``repr`` raises ``ValueError`` (see :func:`int_text`)."""
+def value_text(value) -> str:
+    """``repr(value)``, which writes an int or a tuple of ints as ``str`` does.
+
+    CPython converts no int of more than 4300 digits (the default of
+    ``sys.set_int_max_str_digits``) to decimal, and ``repr`` of a value
+    that holds one raises ``ValueError``, which would crash a message in
+    place of its refusal.  Then an int is written as ``~10^n`` or
+    ``~-10^n``, a tuple of ints in tuple form with each int so written,
+    and anything else as ``<Name too long to print>``.
+    """
     try:
         return repr(value)
     except ValueError:
+        if isinstance(value, int):
+            return f"~{'-' if value < 0 else ''}10^{int(math.log10(abs(value)))}"
+        if isinstance(value, tuple) and all(isinstance(v, int) for v in value):
+            texts = list(map(value_text, value))
+            return f"({texts[0]},)" if len(texts) == 1 else f"({', '.join(texts)})"
         return f"<{type(value).__name__} too long to print>"
-
-
-def vec_text(values: tuple[int, ...]) -> str:
-    """A tuple of ints as ``str`` writes it, each int through :func:`int_text`."""
-    texts = list(map(int_text, values))
-    return f"({texts[0]},)" if len(texts) == 1 else f"({', '.join(texts)})"
 
 
 _LCM_SHORT = 8

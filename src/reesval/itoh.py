@@ -17,11 +17,9 @@ from .errors import (
     EquivalenceViolation,
     NonPositiveError,
     digits_refusal,
-    int_text,
     lcm_of,
     read_int,
-    repr_text,
-    vec_text,
+    value_text,
 )
 from .dvrcalc import _root_invariants
 from .record import Record
@@ -146,7 +144,7 @@ def radicality_equivalence(rees: ReesData | Sequence[int], k: int) -> Equivalenc
         h, rest = divmod(e * _puiseux._ramification(e, k), k)
         if rest:
             raise EquivalenceViolation(
-                f"non-integral exponent for e={int_text(e)}, k={int_text(k)}"
+                f"non-integral exponent for e={value_text(e)}, k={value_text(k)}"
             )
         oracle_exponents.append(h)
     # routes (1)-(3); every exponent is >= 1, so "each is one" is "the largest is one"
@@ -154,7 +152,7 @@ def radicality_equivalence(rees: ReesData | Sequence[int], k: int) -> Equivalenc
                                k % rd.lcm == 0)
     if not result.agreed:
         raise EquivalenceViolation(
-            f"radicality statements disagree for rees={vec_text(rd.entries)}, k={int_text(k)}: "
-            f"{repr_text(result)}"
+            f"radicality statements disagree for rees={value_text(rd.entries)}, "
+            f"k={value_text(k)}: {value_text(result)}"
         )
     return result

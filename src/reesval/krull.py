@@ -27,9 +27,9 @@ from .errors import (
     NonPositiveError,
     NotCommonMultipleError,
     NotMultipleError,
-    int_text,
     lcm_of,
     read_int,
+    value_text,
 )
 from .dvrcalc import _root_invariants
 from .itoh import ReesData, _read_rees_integers, rees_data
@@ -231,10 +231,9 @@ def common_multiple_realization(rees: ReesData | Sequence[int], e: int) -> Reali
     e = read_int(e, 2, "root order", BadKError)
     # by result (1), r_e is radical exactly when e is a multiple of the lcm
     if e % rd.lcm:
-        # int_text: an e or a Rees integer too long for str would crash the message
-        listed = ", ".join(map(int_text, rd.entries))
+        listed = ", ".join(map(value_text, rd.entries))
         raise NotCommonMultipleError(
-            f"{int_text(e)} is not a common multiple of the Rees integers ({listed})"
+            f"{value_text(e)} is not a common multiple of the Rees integers ({listed})"
         )
     return RealizationReport(e, len(rd), e, rd.entries, all(ej == e for ej in rd.entries))
 
@@ -299,7 +298,7 @@ def direct_sum_plan(plan: ComponentPlan, e: int) -> DirectSumReport:
     overall = lcm_of(all_entries)
     if e % overall != 0:
         raise NotMultipleError(
-            f"{int_text(e)} is not a multiple of the overall lcm {int_text(overall)}"
+            f"{value_text(e)} is not a multiple of the overall lcm {value_text(overall)}"
         )
     # a non-participating component carries no Rees integers and passes through
     outcomes = [
@@ -355,6 +354,6 @@ def algebraically_closed_warning(system: ConsistentSystem) -> str | None:
     if bad >= 2:
         return (
             "system prescribes a residue extension of degree "
-            f"{int_text(bad)}, impossible over algebraically closed residue fields"
+            f"{value_text(bad)}, impossible over algebraically closed residue fields"
         )
     return None

@@ -34,10 +34,8 @@ from .errors import (
     ParseError,
     VerificationError,
     digits_refusal,
-    int_text,
     read_int,
-    repr_text,
-    vec_text,
+    value_text,
 )
 from .record import Record
 
@@ -117,7 +115,7 @@ def _read(gens: Sequence[Sequence[int]]) -> tuple[set[int], list[int]]:
             len(g), tuple(map(operator.index, g))
         except TypeError:
             raise ImproperIdealError(
-                f"generator {repr_text(g)} is not a sequence of integers"
+                f"generator {value_text(g)} is not a sequence of integers"
             ) from None
     raise ImproperIdealError("generators must be sequences of integers")
 
@@ -127,10 +125,10 @@ def _first_fault(gens: Sequence[Sequence[int]], d: int) -> InputError:
     for g in sorted([tuple(map(operator.index, g)) for g in gens]):
         if len(g) != d:
             return InconsistentDimensionError(
-                f"generator {vec_text(g)} has length {len(g)}, expected {d}"
+                f"generator {value_text(g)} has length {len(g)}, expected {d}"
             )
         if min(g) < 0:
-            return ImproperIdealError(f"negative exponent in generator {vec_text(g)}")
+            return ImproperIdealError(f"negative exponent in generator {value_text(g)}")
         if not any(g):
             return ImproperIdealError("the unit monomial cannot generate a proper ideal")
 
@@ -158,10 +156,10 @@ class MonomialIdeal(Record):
             d = operator.index(self.dim)
         except TypeError:
             raise InconsistentDimensionError(
-                f"dimension must be an integer, got {repr_text(self.dim)}"
+                f"dimension must be an integer, got {value_text(self.dim)}"
             ) from None
         if not 1 <= d <= 3:
-            raise InconsistentDimensionError(f"dimension must be 1..3, got {int_text(d)}")
+            raise InconsistentDimensionError(f"dimension must be 1..3, got {value_text(d)}")
         raw = tuple(self.generators or ())
         if not raw:
             raise EmptyGeneratorsError("a monomial ideal needs at least one generator")
@@ -399,7 +397,7 @@ def integral_closure_power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
     columns = (bound + 1) ** (d - 1)
     if columns > MAX_CLOSURE_COLUMNS:
         raise OutputLimitError(
-            f"closure has {int_text(columns)} columns, above the limit of {MAX_CLOSURE_COLUMNS}"
+            f"closure has {value_text(columns)} columns, above the limit of {MAX_CLOSURE_COLUMNS}"
         )
     if d == 1:
         return MonomialIdeal(1, ((k * ideal.generators[0][0],),))
@@ -473,7 +471,7 @@ def ideal_power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
     sums = (k - 1) * (k * ideal.max_coordinate + 1) ** (d - 1) * n
     if sums > MAX_POWER_SUMS:
         raise OutputLimitError(
-            f"power takes up to {int_text(sums)} sums, above the limit of {MAX_POWER_SUMS}"
+            f"power takes up to {value_text(sums)} sums, above the limit of {MAX_POWER_SUMS}"
         )
     power = ideal
     for _ in range(k - 1):
@@ -509,7 +507,7 @@ def parse_ideal(text: str) -> MonomialIdeal:
                 why = digits_refusal(parts[1], "dimension") or f"bad dimension {parts[1]!r}"
                 raise ParseError(why, lineno) from None
             if not 1 <= dim <= 3:
-                raise ParseError(f"dimension must be 1..3, got {dim}", lineno)
+                raise ParseError(f"dimension must be 1..3, got {value_text(dim)}", lineno)
             continue
         parts = line.split()
         if len(parts) != dim:

@@ -27,7 +27,7 @@ import math
 import operator
 from collections.abc import Iterable, Sequence
 
-from .errors import DimensionMismatchError, NonPositivePowerError, read_int, repr_text, vec_text
+from .errors import DimensionMismatchError, NonPositivePowerError, read_int, value_text
 from .monomial import MonomialIdeal
 
 
@@ -214,14 +214,14 @@ def oracle_is_integral(ideal: MonomialIdeal, k: int, m: Sequence[int]) -> bool:
         m = tuple(map(operator.index, m))
     except TypeError:
         raise DimensionMismatchError(
-            f"monomial {repr_text(m)} has a non-integer exponent"
+            f"monomial {value_text(m)} has a non-integer exponent"
         ) from None
     if len(m) != ideal.dim:
         raise DimensionMismatchError(
-            f"monomial {vec_text(m)} has length {len(m)}, ideal has dimension {ideal.dim}"
+            f"monomial {value_text(m)} has length {len(m)}, ideal has dimension {ideal.dim}"
         )
     if min(m) < 0:
-        raise DimensionMismatchError(f"negative exponent in {vec_text(m)}")
+        raise DimensionMismatchError(f"negative exponent in {value_text(m)}")
     covers, pair, triple, full = _KERNELS[ideal.dim]
     pool = covers(ideal.generators, k, m)
     if not pool:

@@ -27,7 +27,7 @@ the two with the Fundamental Equality.
 
 from __future__ import annotations
 
-from .errors import FundamentalEqualityViolation, NonPositiveError, int_text
+from .errors import FundamentalEqualityViolation, NonPositiveError, value_text
 from .record import Record
 
 
@@ -53,7 +53,7 @@ def _certified_gcd(a: int, b: int) -> int:
         t, t_next = t_next, t - quotient * t_next
     if s * a + t * b != g or a % g or b % g:
         raise FundamentalEqualityViolation(
-            f"no Bezout certificate for gcd({int_text(a)}, {int_text(b)}) = {int_text(g)}"
+            f"no Bezout certificate for gcd({value_text(a)}, {value_text(b)}) = {value_text(g)}"
         )
     return g
 
@@ -99,7 +99,8 @@ def oracle_residue_degree(model: PuiseuxModel) -> int:
         x, y = y, rest
     if p * k != e * q or abs(p * q_prev - p_prev * q) != 1:
         raise FundamentalEqualityViolation(
-            f"last convergent {p}/{q} is not e/k = {e}/{k} in lowest terms"
+            f"last convergent {value_text(p)}/{value_text(q)} is not "
+            f"e/k = {value_text(e)}/{value_text(k)} in lowest terms"
         )
     return k // q
 
@@ -114,6 +115,7 @@ def oracle_extension(model: PuiseuxModel) -> tuple[int, int, int]:
     residue_degree = oracle_residue_degree(model)
     if ramification * residue_degree != model.k:
         raise FundamentalEqualityViolation(
-            f"{ramification} * {residue_degree} != {model.k} for e={model.e}"
+            f"{value_text(ramification)} * {value_text(residue_degree)} != "
+            f"{value_text(model.k)} for e={value_text(model.e)}"
         )
     return (ramification, residue_degree, model.k)

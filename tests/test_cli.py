@@ -594,28 +594,37 @@ def test_unknown_flag_exits_two():
 # as likely as text.  Huge values pass the 4300 digits that str prints:
 # k and e up to 10^3000 and past 10^4400 (which int() refuses to read),
 # short lists of consecutive integers up to 10^3000, whose lcm has more
-# digits, and exponents up to 10^3000.
+# digits, exponents up to 10^3000, and, in one file in four and in some
+# Rees and component lists, one exponent or entry past 10^4400.  No
+# message writes more than it was given: stderr holds at most 1 KiB
+# beyond the bytes of argv and the file, as co2 may echo an lcm that
+# the input bounds.
 _INTEGER = st.one_of(st.integers(-3, 40), st.integers(-3, 10**12))
-_HUGE = st.one_of(
-    st.integers(1, 10**3000).map(str),
-    # past 4300 digits, so written without str
-    st.builds(lambda head, zeros: f"{head}{'0' * zeros}", st.integers(1, 10**6), st.integers(4300, 4400)),
+# past 4300 digits, so written without str
+_PAST_STR = st.builds(
+    lambda head, zeros: f"{head}{'0' * zeros}", st.integers(1, 10**6), st.integers(4300, 4400)
 )
+_HUGE = st.one_of(st.integers(1, 10**3000).map(str), _PAST_STR)
 _FLAG = st.one_of(_INTEGER.map(str), st.integers(1, 40).map(str), st.text(max_size=8), _HUGE)
 _REES_LIST = st.lists(_INTEGER, min_size=1, max_size=6).map(lambda xs: ",".join(map(str, xs)))
 _CONSECUTIVE = st.builds(
     lambda start, n: ",".join(str(start + i) for i in range(n)),
     st.integers(10**500, 10**3000), st.integers(2, 6),
 )
-_REES = st.one_of(_REES_LIST, _REES_LIST, st.text(max_size=12), _CONSECUTIVE)
-_EXPONENT = st.one_of(st.integers(0, 8), st.integers(0, 10**9), st.integers(0, 10**3000))
+_PAST_STR_LIST = st.builds(
+    lambda xs, entry: ",".join([*map(str, xs), entry]), st.lists(_INTEGER, max_size=5), _PAST_STR
+)
+_REES = st.one_of(_REES_LIST, _REES_LIST, st.text(max_size=12), _CONSECUTIVE, _PAST_STR_LIST)
+_EXPONENT = st.one_of(st.integers(0, 8), st.integers(0, 10**9), st.integers(0, 10**3000)).map(str)
 
 
 @st.composite
 def _ideal_bytes(draw):
     dim = draw(st.integers(1, 3))
     gens = draw(st.lists(st.lists(_EXPONENT, min_size=dim, max_size=dim), min_size=1, max_size=8))
-    return (f"dim {dim}\n" + "".join(" ".join(map(str, g)) + "\n" for g in gens)).encode()
+    if draw(st.integers(0, 3)) == 0:
+        gens[-1][-1] = draw(_PAST_STR)
+    return (f"dim {dim}\n" + "".join(" ".join(g) + "\n" for g in gens)).encode()
 
 
 @st.composite
@@ -665,5 +674,7 @@ def test_main_answers_or_refuses_within_a_second(tmp_path_factory, call):
         code = main(argv)
     assert time.perf_counter() - start < 1.0, argv
     assert code in (0, 2, 3), (argv, err.getvalue())
+    given_bytes = sum(len(arg.encode()) for arg in argv) + len(data or b"")
+    assert len(err.getvalue().encode()) <= 1024 + given_bytes, (argv, err.getvalue()[:200])
     if code:
         assert out.getvalue() == "", argv

@@ -92,7 +92,6 @@ LIMITS = {
 # int parameters that size no work, each with the reason
 NOT_SIZING = {
     ("read_int", "least"): "a bound, compared once",
-    ("int_text", "value"): "the int a message writes, by its size when str refuses it",
 }
 
 
